@@ -1,6 +1,6 @@
 //! Criterion micro-benchmarks for the cryptographic substrate:
 //! hashing throughput, Merkle construction/proofs at the paper's
-//! fanouts, and RSA sign/verify.
+//! fanouts, and RSA sign/verify/keygen at research and real key sizes.
 
 use criterion::{criterion_group, criterion_main, BatchSize, Criterion};
 use rand::rngs::StdRng;
@@ -76,14 +76,23 @@ fn bench_merkle_prove(c: &mut Criterion) {
     });
 }
 
+/// RSA sign/verify at the research default (256 bits) and at the real
+/// key sizes (1024, 2048), plus seed-0 key generation at 1024 bits
+/// (a fixed seed makes every iteration the same prime search).
 fn bench_rsa(c: &mut Criterion) {
-    let mut rng = StdRng::seed_from_u64(7);
-    let kp = RsaKeyPair::generate(&mut rng, 256);
     let d = hash_bytes(b"root");
-    let sig = kp.sign(&d);
-    c.bench_function("rsa256_sign", |b| b.iter(|| kp.sign(black_box(&d))));
-    c.bench_function("rsa256_verify", |b| {
-        b.iter(|| kp.public_key().verify(black_box(&d), black_box(&sig)))
+    for bits in [256usize, 1024, 2048] {
+        let kp = RsaKeyPair::generate(&mut StdRng::seed_from_u64(7), bits);
+        let sig = kp.sign(&d);
+        c.bench_function(format!("rsa{bits}_sign"), |b| {
+            b.iter(|| kp.sign(black_box(&d)))
+        });
+        c.bench_function(format!("rsa{bits}_verify"), |b| {
+            b.iter(|| kp.public_key().verify(black_box(&d), black_box(&sig)))
+        });
+    }
+    c.bench_function("rsa1024_keygen_seed0", |b| {
+        b.iter(|| RsaKeyPair::generate(&mut StdRng::seed_from_u64(0), black_box(1024)))
     });
 }
 

@@ -14,8 +14,10 @@
 //!   session verifying a burst of queries against the new epoch. The
 //!   loop's wall time yields `updates_per_sec` (sustained, *including*
 //!   the interleaved verified serving) and `query_qps`.
-//! * **re-sign discipline** — [`spnet_crypto::rsa::signing_ops`]
-//!   deltas across the loop pin `signs_per_update`: incremental repair
+//! * **re-sign discipline** — the owner key's own
+//!   [`RsaKeyPair::signing_ops`] deltas across the loop pin
+//!   `signs_per_update` (other threads' keys cannot move them, so the
+//!   figure holds under parallel tests): incremental repair
 //!   re-signs only the network root plus at most one auxiliary root,
 //!   never O(|V|) signatures. The gate bounds it at
 //!   [`crate::gate::CHURN_MAX_SIGNS_PER_UPDATE`].
@@ -45,7 +47,7 @@ use spnet_core::methods::{LdmConfig, MethodConfig};
 use spnet_core::owner::{DataOwner, SetupConfig};
 use spnet_core::snapshot::SnapshotRefresh;
 use spnet_core::{Client, SpService, StoreBackend};
-use spnet_crypto::rsa::{signing_ops, RsaKeyPair};
+use spnet_crypto::rsa::RsaKeyPair;
 use spnet_graph::gen::grid_network;
 use spnet_graph::landmark::{CompressionStrategy, LandmarkStrategy};
 use spnet_graph::NodeId;
@@ -269,7 +271,7 @@ pub fn run_churn(cfg: &ChurnConfig) -> ChurnReport {
         // Timed mixed loop: update, then serve a verified burst on the
         // new epoch. Sessions only verify (no signing), so the signing
         // delta is exactly the repairs' re-sign cost.
-        let sign0 = signing_ops();
+        let sign0 = keypair.signing_ops();
         let t0 = Instant::now();
         for i in 0..cfg.updates {
             let (u, v, _) = edges[rng_u.random_range(0..edges.len())];
@@ -284,7 +286,7 @@ pub fn run_churn(cfg: &ChurnConfig) -> ChurnReport {
             }
         }
         let elapsed = t0.elapsed().as_secs_f64().max(1e-9);
-        let signs = signing_ops() - sign0;
+        let signs = keypair.signing_ops() - sign0;
         let updates_per_sec = cfg.updates as f64 / elapsed;
         let query_qps = (cfg.updates * cfg.queries_per_epoch) as f64 / elapsed;
         let signs_per_update = signs as f64 / cfg.updates.max(1) as f64;
@@ -310,7 +312,7 @@ pub fn run_churn(cfg: &ChurnConfig) -> ChurnReport {
             snapshot_in_place,
             snapshot_pages_total: stats.pages_total as u64,
             snapshot_pages_rewritten: stats.pages_rewritten as u64,
-            snapshot_bytes_written: stats.bytes_written as u64,
+            snapshot_bytes_written: stats.bytes_written,
         };
         eprintln!(
             "[churn] {}: {:.1} updates/s with {:.0} verified q/s interleaved, \

@@ -3,20 +3,32 @@
 //! A deliberately small big-integer implementation — just enough for
 //! RSA key generation, signing and verification: addition, subtraction,
 //! multiplication, division with remainder, modular exponentiation and
-//! modular inverse. Limbs are `u32` stored little-endian; intermediate
-//! products use `u64`.
+//! modular inverse. Limbs are `u64` stored little-endian; intermediate
+//! products use `u128`.
+//!
+//! * Division is Knuth's Algorithm D (TAOCP vol. 2, §4.3.1): one
+//!   quotient limb per step, estimated from the top two limbs of the
+//!   normalized operands and corrected at most twice plus one add-back.
+//! * Modular exponentiation has one path: Montgomery multiplication
+//!   (the CIOS form of Koç, Acar and Kaliski) with a fixed 4-bit
+//!   window. It needs an odd modulus, which every RSA and Miller–Rabin
+//!   modulus is. The working buffers are allocated once per
+//!   exponentiation, not once per product.
 //!
 //! Not constant-time; see the crate-level security disclaimer.
 
 use std::cmp::Ordering;
 use std::fmt;
 
-/// An arbitrary-precision unsigned integer (little-endian `u32` limbs,
+/// An arbitrary-precision unsigned integer (little-endian `u64` limbs,
 /// normalized: no trailing zero limbs).
 #[derive(Clone, PartialEq, Eq, Hash, Default)]
 pub struct BigUint {
-    limbs: Vec<u32>,
+    limbs: Vec<u64>,
 }
+
+/// Bits per exponent window in [`BigUint::modpow`].
+const WINDOW_BITS: usize = 4;
 
 impl BigUint {
     /// The value 0 (empty limb vector).
@@ -31,34 +43,38 @@ impl BigUint {
 
     /// Constructs from a `u64`.
     pub fn from_u64(v: u64) -> Self {
-        let mut n = BigUint {
-            limbs: vec![v as u32, (v >> 32) as u32],
-        };
-        n.normalize();
-        n
+        Self::from_limbs(vec![v])
     }
 
-    /// Constructs from big-endian bytes.
-    pub fn from_bytes_be(bytes: &[u8]) -> Self {
-        let mut limbs = Vec::with_capacity(bytes.len().div_ceil(4));
-        let mut i = bytes.len();
-        while i > 0 {
-            let start = i.saturating_sub(4);
-            let mut limb = 0u32;
-            for &b in &bytes[start..i] {
-                limb = (limb << 8) | b as u32;
-            }
-            limbs.push(limb);
-            i = start;
-        }
+    fn from_limbs(limbs: Vec<u64>) -> Self {
         let mut n = BigUint { limbs };
         n.normalize();
         n
     }
 
+    /// Packs little-endian 32-bit words into limbs.
+    fn from_words(words: &[u32]) -> Self {
+        Self::from_limbs(
+            words
+                .chunks(2)
+                .map(|w| w[0] as u64 | (*w.get(1).unwrap_or(&0) as u64) << 32)
+                .collect(),
+        )
+    }
+
+    /// Constructs from big-endian bytes.
+    pub fn from_bytes_be(bytes: &[u8]) -> Self {
+        Self::from_limbs(
+            bytes
+                .rchunks(8)
+                .map(|chunk| chunk.iter().fold(0u64, |limb, &b| (limb << 8) | b as u64))
+                .collect(),
+        )
+    }
+
     /// Serializes to big-endian bytes with no leading zeros (empty for 0).
     pub fn to_bytes_be(&self) -> Vec<u8> {
-        let mut out = Vec::with_capacity(self.limbs.len() * 4);
+        let mut out = Vec::with_capacity(self.limbs.len() * 8);
         for &limb in self.limbs.iter().rev() {
             out.extend_from_slice(&limb.to_be_bytes());
         }
@@ -74,7 +90,7 @@ impl BigUint {
 
     /// True iff the value is one.
     pub fn is_one(&self) -> bool {
-        self.limbs.len() == 1 && self.limbs[0] == 1
+        self.limbs == [1]
     }
 
     /// True iff the value is even (zero counts as even).
@@ -82,21 +98,28 @@ impl BigUint {
         self.limbs.first().is_none_or(|l| l & 1 == 0)
     }
 
+    /// The value as a `u64`, or `None` if it does not fit.
+    pub(crate) fn to_u64(&self) -> Option<u64> {
+        match self.limbs[..] {
+            [] => Some(0),
+            [v] => Some(v),
+            _ => None,
+        }
+    }
+
     /// Number of significant bits (0 for the value 0).
     pub fn bit_len(&self) -> usize {
         match self.limbs.last() {
             None => 0,
-            Some(&top) => (self.limbs.len() - 1) * 32 + (32 - top.leading_zeros() as usize),
+            Some(&top) => self.limbs.len() * 64 - top.leading_zeros() as usize,
         }
     }
 
     /// Value of bit `i` (false beyond the top bit).
     pub fn bit(&self, i: usize) -> bool {
-        let limb = i / 32;
-        if limb >= self.limbs.len() {
-            return false;
-        }
-        (self.limbs[limb] >> (i % 32)) & 1 == 1
+        self.limbs
+            .get(i / 64)
+            .is_some_and(|limb| (limb >> (i % 64)) & 1 == 1)
     }
 
     fn normalize(&mut self) {
@@ -108,44 +131,24 @@ impl BigUint {
     /// `self + other`.
     pub fn add(&self, other: &BigUint) -> BigUint {
         let (long, short) = if self.limbs.len() >= other.limbs.len() {
-            (&self.limbs, &other.limbs)
+            (self, other)
         } else {
-            (&other.limbs, &self.limbs)
+            (other, self)
         };
-        let mut out = Vec::with_capacity(long.len() + 1);
-        let mut carry = 0u64;
-        for (i, &limb) in long.iter().enumerate() {
-            let s = limb as u64 + *short.get(i).unwrap_or(&0) as u64 + carry;
-            out.push(s as u32);
-            carry = s >> 32;
+        let mut out = long.limbs.clone();
+        if add_in_place(&mut out, &short.limbs) {
+            out.push(1);
         }
-        if carry > 0 {
-            out.push(carry as u32);
-        }
-        let mut n = BigUint { limbs: out };
-        n.normalize();
-        n
+        Self::from_limbs(out)
     }
 
     /// `self - other`; panics if `other > self`.
     pub fn sub(&self, other: &BigUint) -> BigUint {
-        debug_assert!(self.cmp_to(other) != Ordering::Less, "BigUint underflow");
-        let mut out = Vec::with_capacity(self.limbs.len());
-        let mut borrow = 0i64;
-        for i in 0..self.limbs.len() {
-            let d = self.limbs[i] as i64 - *other.limbs.get(i).unwrap_or(&0) as i64 - borrow;
-            if d < 0 {
-                out.push((d + (1i64 << 32)) as u32);
-                borrow = 1;
-            } else {
-                out.push(d as u32);
-                borrow = 0;
-            }
-        }
-        assert_eq!(borrow, 0, "BigUint underflow");
-        let mut n = BigUint { limbs: out };
-        n.normalize();
-        n
+        assert!(other.limbs.len() <= self.limbs.len(), "BigUint underflow");
+        let mut out = self.limbs.clone();
+        let borrow = sub_in_place(&mut out, &other.limbs);
+        assert!(!borrow, "BigUint underflow");
+        Self::from_limbs(out)
     }
 
     /// Schoolbook multiplication `self * other`.
@@ -153,25 +156,15 @@ impl BigUint {
         if self.is_zero() || other.is_zero() {
             return BigUint::zero();
         }
-        let mut out = vec![0u32; self.limbs.len() + other.limbs.len()];
+        let mut out = vec![0u64; self.limbs.len() + other.limbs.len()];
         for (i, &a) in self.limbs.iter().enumerate() {
             let mut carry = 0u64;
             for (j, &b) in other.limbs.iter().enumerate() {
-                let cur = out[i + j] as u64 + a as u64 * b as u64 + carry;
-                out[i + j] = cur as u32;
-                carry = cur >> 32;
+                (out[i + j], carry) = mac(out[i + j], a, b, carry);
             }
-            let mut k = i + other.limbs.len();
-            while carry > 0 {
-                let cur = out[k] as u64 + carry;
-                out[k] = cur as u32;
-                carry = cur >> 32;
-                k += 1;
-            }
+            out[i + other.limbs.len()] = carry;
         }
-        let mut n = BigUint { limbs: out };
-        n.normalize();
-        n
+        Self::from_limbs(out)
     }
 
     /// Left shift by `bits`.
@@ -179,95 +172,115 @@ impl BigUint {
         if self.is_zero() {
             return BigUint::zero();
         }
-        let limb_shift = bits / 32;
-        let bit_shift = bits % 32;
-        let mut out = vec![0u32; limb_shift];
-        if bit_shift == 0 {
-            out.extend_from_slice(&self.limbs);
-        } else {
-            let mut carry = 0u32;
-            for &l in &self.limbs {
-                out.push((l << bit_shift) | carry);
-                carry = l >> (32 - bit_shift);
-            }
-            if carry > 0 {
-                out.push(carry);
-            }
-        }
-        let mut n = BigUint { limbs: out };
-        n.normalize();
-        n
+        let mut out = vec![0u64; bits / 64];
+        out.extend_from_slice(&self.limbs);
+        out.push(0);
+        shl_in_place(&mut out[bits / 64..], (bits % 64) as u32);
+        Self::from_limbs(out)
     }
 
     /// Right shift by `bits`.
     pub fn shr(&self, bits: usize) -> BigUint {
-        let limb_shift = bits / 32;
+        let limb_shift = bits / 64;
         if limb_shift >= self.limbs.len() {
             return BigUint::zero();
         }
-        let bit_shift = bits % 32;
-        let src = &self.limbs[limb_shift..];
-        let mut out = Vec::with_capacity(src.len());
-        if bit_shift == 0 {
-            out.extend_from_slice(src);
-        } else {
-            for i in 0..src.len() {
-                let lo = src[i] >> bit_shift;
-                let hi = if i + 1 < src.len() {
-                    src[i + 1] << (32 - bit_shift)
-                } else {
-                    0
-                };
-                out.push(lo | hi);
-            }
-        }
-        let mut n = BigUint { limbs: out };
-        n.normalize();
-        n
+        let mut out = self.limbs[limb_shift..].to_vec();
+        shr_in_place(&mut out, (bits % 64) as u32);
+        Self::from_limbs(out)
     }
 
     /// Total ordering comparison.
     pub fn cmp_to(&self, other: &BigUint) -> Ordering {
-        if self.limbs.len() != other.limbs.len() {
-            return self.limbs.len().cmp(&other.limbs.len());
-        }
-        for i in (0..self.limbs.len()).rev() {
-            match self.limbs[i].cmp(&other.limbs[i]) {
-                Ordering::Equal => continue,
-                ord => return ord,
-            }
-        }
-        Ordering::Equal
+        self.limbs
+            .len()
+            .cmp(&other.limbs.len())
+            .then_with(|| cmp_limbs(&self.limbs, &other.limbs))
+    }
+
+    /// `self mod d` for a one-limb divisor: one `u128` remainder per
+    /// limb, no allocation.
+    ///
+    /// # Panics
+    /// Panics if `d` is zero.
+    pub(crate) fn rem_u64(&self, d: u64) -> u64 {
+        assert!(d != 0, "division by zero");
+        let r = self
+            .limbs
+            .iter()
+            .rev()
+            .fold(0u128, |r, &limb| (r << 64 | limb as u128) % d as u128);
+        r as u64
     }
 
     /// Division with remainder: returns `(self / divisor, self % divisor)`.
     ///
-    /// Shift-and-subtract long division — O(bit_len · limbs), plenty for
-    /// RSA-sized operands.
+    /// Knuth's Algorithm D: O(limbs(quotient) · limbs(divisor)) limb
+    /// operations.
     ///
     /// # Panics
     /// Panics if `divisor` is zero.
     pub fn div_rem(&self, divisor: &BigUint) -> (BigUint, BigUint) {
         assert!(!divisor.is_zero(), "division by zero");
-        match self.cmp_to(divisor) {
-            Ordering::Less => return (BigUint::zero(), self.clone()),
-            Ordering::Equal => return (BigUint::one(), BigUint::zero()),
-            Ordering::Greater => {}
+        if self.cmp_to(divisor) == Ordering::Less {
+            return (BigUint::zero(), self.clone());
         }
-        let shift = self.bit_len() - divisor.bit_len();
-        let mut rem = self.clone();
-        let mut quot_limbs = vec![0u32; shift / 32 + 1];
-        let mut d = divisor.shl(shift);
-        for s in (0..=shift).rev() {
-            if rem.cmp_to(&d) != Ordering::Less {
-                rem = rem.sub(&d);
-                quot_limbs[s / 32] |= 1 << (s % 32);
+        if let [d] = divisor.limbs[..] {
+            let mut q = self.limbs.clone();
+            let r = div_rem_limb(&mut q, d);
+            return (Self::from_limbs(q), BigUint::from_u64(r));
+        }
+        // D1: normalize so the divisor's top limb has its high bit set.
+        let n = divisor.limbs.len();
+        let m = self.limbs.len() - n;
+        let shift = divisor.limbs[n - 1].leading_zeros();
+        let mut v = divisor.limbs.clone();
+        shl_in_place(&mut v, shift);
+        let mut u = self.limbs.clone();
+        u.push(0);
+        shl_in_place(&mut u, shift);
+        let (v1, v2) = (v[n - 1] as u128, v[n - 2] as u128);
+        let mut q = vec![0u64; m + 1];
+        for j in (0..=m).rev() {
+            // D3: estimate q̂ from the top two limbs and correct it with
+            // the third; afterwards q̂ is exact or one too large.
+            let top = (u[j + n] as u128) << 64 | u[j + n - 1] as u128;
+            let mut qhat = top / v1;
+            let mut rhat = top % v1;
+            while qhat > u64::MAX as u128 || qhat * v2 > (rhat << 64 | u[j + n - 2] as u128) {
+                qhat -= 1;
+                rhat += v1;
+                if rhat > u64::MAX as u128 {
+                    break;
+                }
             }
-            d = d.shr(1);
+            // D4: u[j..=j+n] -= q̂·v.
+            let window = &mut u[j..=j + n];
+            let mut carry = 0u64;
+            let mut borrow = false;
+            for (ui, &vi) in window.iter_mut().zip(&v) {
+                let p = qhat * vi as u128 + carry as u128;
+                carry = (p >> 64) as u64;
+                let (d, b1) = ui.overflowing_sub(p as u64);
+                let (d, b2) = d.overflowing_sub(borrow as u64);
+                *ui = d;
+                borrow = b1 | b2;
+            }
+            let (d, b1) = window[n].overflowing_sub(carry);
+            let (d, b2) = d.overflowing_sub(borrow as u64);
+            window[n] = d;
+            // D6: q̂ was one too large; add v back.
+            if b1 | b2 {
+                qhat -= 1;
+                let carry = add_in_place(&mut window[..n], &v);
+                window[n] = window[n].wrapping_add(carry as u64);
+            }
+            q[j] = qhat as u64;
         }
-        let mut q = BigUint { limbs: quot_limbs };
-        q.normalize();
-        (q, rem)
+        // D8: unnormalize the remainder.
+        u.truncate(n);
+        shr_in_place(&mut u, shift);
+        (Self::from_limbs(q), Self::from_limbs(u))
     }
 
     /// `self mod m`.
@@ -275,24 +288,15 @@ impl BigUint {
         self.div_rem(m).1
     }
 
-    /// Modular exponentiation `self^exp mod m` (square-and-multiply).
+    /// Modular exponentiation `self^exp mod m`: Montgomery
+    /// multiplication with a fixed 4-bit exponent window.
     ///
     /// # Panics
-    /// Panics if `m` is zero.
+    /// Panics if `m` is even (zero included): Montgomery reduction
+    /// needs `m` coprime to the limb base 2⁶⁴.
     pub fn modpow(&self, exp: &BigUint, m: &BigUint) -> BigUint {
-        assert!(!m.is_zero(), "modpow modulus is zero");
-        if m.is_one() {
-            return BigUint::zero();
-        }
-        let mut result = BigUint::one();
-        let mut base = self.rem(m);
-        for i in 0..exp.bit_len() {
-            if exp.bit(i) {
-                result = result.mul(&base).rem(m);
-            }
-            base = base.mul(&base).rem(m);
-        }
-        result
+        let mont = Montgomery::new(m);
+        mont.value(&mont.pow(&mont.residue(self), exp))
     }
 
     /// Greatest common divisor (binary GCD).
@@ -371,46 +375,259 @@ impl BigUint {
     }
 
     /// A uniformly random integer with exactly `bits` bits (top bit set).
+    ///
+    /// Draws one `u32` per 32 bits, so a seeded generator yields the
+    /// same value whatever the limb width.
     pub fn random_bits<R: rand::Rng + ?Sized>(rng: &mut R, bits: usize) -> BigUint {
-        use rand::RngExt as _;
         assert!(bits > 0);
-        let limbs_needed = bits.div_ceil(32);
-        let mut limbs: Vec<u32> = (0..limbs_needed).map(|_| rng.random()).collect();
-        let top_bits = bits - (limbs_needed - 1) * 32;
-        let mask = if top_bits == 32 {
-            u32::MAX
-        } else {
-            (1u32 << top_bits) - 1
-        };
-        let top = limbs.last_mut().unwrap();
-        *top &= mask;
-        *top |= 1 << (top_bits - 1); // force exact bit length
-        let mut n = BigUint { limbs };
-        n.normalize();
-        n
+        let mut words = random_words(rng, bits);
+        let top_bits = bits - (words.len() - 1) * 32;
+        *words.last_mut().unwrap() |= 1 << (top_bits - 1); // force exact bit length
+        Self::from_words(&words)
     }
 
     /// A uniformly random integer in `[0, bound)` via rejection sampling.
     pub fn random_below<R: rand::Rng + ?Sized>(rng: &mut R, bound: &BigUint) -> BigUint {
-        use rand::RngExt as _;
         assert!(!bound.is_zero());
-        let bits = bound.bit_len();
         loop {
-            let limbs_needed = bits.div_ceil(32);
-            let mut limbs: Vec<u32> = (0..limbs_needed).map(|_| rng.random()).collect();
-            let top_bits = bits - (limbs_needed - 1) * 32;
-            let mask = if top_bits == 32 {
-                u32::MAX
-            } else {
-                (1u32 << top_bits) - 1
-            };
-            *limbs.last_mut().unwrap() &= mask;
-            let mut candidate = BigUint { limbs };
-            candidate.normalize();
+            let candidate = Self::from_words(&random_words(rng, bound.bit_len()));
             if candidate.cmp_to(bound) == Ordering::Less {
                 return candidate;
             }
         }
+    }
+}
+
+/// `bits.div_ceil(32)` random little-endian words, the top one masked
+/// to the bits that remain.
+fn random_words<R: rand::Rng + ?Sized>(rng: &mut R, bits: usize) -> Vec<u32> {
+    use rand::RngExt as _;
+    let n = bits.div_ceil(32);
+    let mut words: Vec<u32> = (0..n).map(|_| rng.random()).collect();
+    let top_bits = bits - (n - 1) * 32;
+    if top_bits < 32 {
+        words[n - 1] &= (1u32 << top_bits) - 1;
+    }
+    words
+}
+
+/// `acc + a·b + carry` as `(low, high)` limbs; cannot overflow.
+#[inline(always)]
+fn mac(acc: u64, a: u64, b: u64, carry: u64) -> (u64, u64) {
+    let v = acc as u128 + a as u128 * b as u128 + carry as u128;
+    (v as u64, (v >> 64) as u64)
+}
+
+/// Compares equal-length limb slices.
+fn cmp_limbs(a: &[u64], b: &[u64]) -> Ordering {
+    debug_assert_eq!(a.len(), b.len());
+    a.iter().rev().cmp(b.iter().rev())
+}
+
+/// `a += b` for `b` no longer than `a`; returns the carry out of `a`.
+fn add_in_place(a: &mut [u64], b: &[u64]) -> bool {
+    let mut carry = false;
+    for (i, ai) in a.iter_mut().enumerate() {
+        let bi = b.get(i).copied().unwrap_or(0);
+        let (s, c1) = ai.overflowing_add(bi);
+        let (s, c2) = s.overflowing_add(carry as u64);
+        *ai = s;
+        carry = c1 | c2;
+    }
+    carry
+}
+
+/// `a -= b` for `b` no longer than `a`; returns the borrow out of `a`.
+fn sub_in_place(a: &mut [u64], b: &[u64]) -> bool {
+    let mut borrow = false;
+    for (i, ai) in a.iter_mut().enumerate() {
+        let bi = b.get(i).copied().unwrap_or(0);
+        let (d, b1) = ai.overflowing_sub(bi);
+        let (d, b2) = d.overflowing_sub(borrow as u64);
+        *ai = d;
+        borrow = b1 | b2;
+    }
+    borrow
+}
+
+/// Shifts `a` left by `s < 64` bits in place; bits shifted out of the
+/// top limb are dropped.
+fn shl_in_place(a: &mut [u64], s: u32) {
+    if s == 0 {
+        return;
+    }
+    for i in (1..a.len()).rev() {
+        a[i] = a[i] << s | a[i - 1] >> (64 - s);
+    }
+    if let Some(lo) = a.first_mut() {
+        *lo <<= s;
+    }
+}
+
+/// Shifts `a` right by `s < 64` bits in place.
+fn shr_in_place(a: &mut [u64], s: u32) {
+    if s == 0 {
+        return;
+    }
+    for i in 0..a.len() {
+        let hi = a.get(i + 1).map_or(0, |h| h << (64 - s));
+        a[i] = a[i] >> s | hi;
+    }
+}
+
+/// Divides `a` in place by the one-limb `d`; returns the remainder.
+fn div_rem_limb(a: &mut [u64], d: u64) -> u64 {
+    assert!(d != 0, "division by zero");
+    let mut r = 0u128;
+    for limb in a.iter_mut().rev() {
+        let cur = r << 64 | *limb as u128;
+        *limb = (cur / d as u128) as u64;
+        r = cur % d as u128;
+    }
+    r as u64
+}
+
+/// Montgomery arithmetic modulo one odd modulus `n` of `s` limbs, with
+/// `R = 2^(64·s)`. Values in Montgomery form are `s`-limb slices
+/// holding `x·R mod n`.
+pub(crate) struct Montgomery {
+    modulus: BigUint,
+    /// `−n⁻¹ mod 2⁶⁴`.
+    n0: u64,
+    /// `R² mod n`, the factor that maps into Montgomery form.
+    r2: Vec<u64>,
+}
+
+impl Montgomery {
+    /// The context for modulus `m`.
+    ///
+    /// # Panics
+    /// Panics if `m` is even (zero included).
+    pub(crate) fn new(m: &BigUint) -> Self {
+        assert!(!m.is_even(), "Montgomery modulus must be odd");
+        let s = m.limbs.len();
+        // Newton's iteration doubles the correct low bits of n⁻¹ each
+        // step: 1 → 2 → … → 64 bits (n·1 ≡ 1 mod 2 since n is odd).
+        let mut inv = 1u64;
+        for _ in 0..6 {
+            inv = inv.wrapping_mul(2u64.wrapping_sub(m.limbs[0].wrapping_mul(inv)));
+        }
+        let mut r2 = BigUint::one().shl(128 * s).rem(m).limbs;
+        r2.resize(s, 0);
+        Montgomery {
+            modulus: m.clone(),
+            n0: inv.wrapping_neg(),
+            r2,
+        }
+    }
+
+    /// Number of limbs per residue.
+    fn limbs(&self) -> usize {
+        self.modulus.limbs.len()
+    }
+
+    /// CIOS Montgomery product: `t[..s] = a·b·R⁻¹ mod n` for `a, b < n`.
+    /// `t` is scratch of `s + 2` limbs; limbs past `s` are left unspecified.
+    fn mul(&self, a: &[u64], b: &[u64], t: &mut [u64]) {
+        let n = &self.modulus.limbs[..];
+        let s = n.len();
+        t.fill(0);
+        for &ai in a {
+            // t += ai·b
+            let mut c = 0u64;
+            for j in 0..s {
+                (t[j], c) = mac(t[j], ai, b[j], c);
+            }
+            let (lo, hi) = t[s].overflowing_add(c);
+            t[s] = lo;
+            t[s + 1] = hi as u64;
+            // t = (t + m·n) / 2⁶⁴ with m chosen so the low limb vanishes.
+            let m = t[0].wrapping_mul(self.n0);
+            let (_, mut c) = mac(t[0], m, n[0], 0);
+            for j in 1..s {
+                (t[j - 1], c) = mac(t[j], m, n[j], c);
+            }
+            let (lo, hi) = t[s].overflowing_add(c);
+            t[s - 1] = lo;
+            t[s] = t[s + 1] + hi as u64;
+        }
+        // t < 2n: one conditional subtraction lands in [0, n).
+        if t[s] != 0 || cmp_limbs(&t[..s], n) != Ordering::Less {
+            sub_in_place(&mut t[..s], n);
+        }
+    }
+
+    /// `a` in Montgomery form (`a` is reduced first when `a ≥ n`).
+    pub(crate) fn residue(&self, a: &BigUint) -> Vec<u64> {
+        let s = self.limbs();
+        let mut x = if a.cmp_to(&self.modulus) == Ordering::Less {
+            a.limbs.clone()
+        } else {
+            a.rem(&self.modulus).limbs
+        };
+        x.resize(s, 0);
+        let mut t = vec![0u64; s + 2];
+        self.mul(&x, &self.r2, &mut t);
+        t.truncate(s);
+        t
+    }
+
+    /// The value of the Montgomery residue `a`.
+    pub(crate) fn value(&self, a: &[u64]) -> BigUint {
+        let s = self.limbs();
+        let mut one = vec![0u64; s];
+        one[0] = 1;
+        let mut t = vec![0u64; s + 2];
+        self.mul(a, &one, &mut t);
+        t.truncate(s);
+        BigUint::from_limbs(t)
+    }
+
+    /// `1` in Montgomery form (`R mod n`).
+    pub(crate) fn one(&self) -> Vec<u64> {
+        self.residue(&BigUint::one())
+    }
+
+    /// `a ← a²` in Montgomery form.
+    pub(crate) fn square(&self, a: &mut [u64]) {
+        let mut t = vec![0u64; self.limbs() + 2];
+        self.mul(a, a, &mut t);
+        a.copy_from_slice(&t[..a.len()]);
+    }
+
+    /// `base^exp` with `base` and the result in Montgomery form: a
+    /// fixed 4-bit window over `exp`, most significant window first.
+    /// The power table stops at the largest window digit `exp` uses, so
+    /// a short exponent such as 65537 costs no unused table entries.
+    pub(crate) fn pow(&self, base: &[u64], exp: &BigUint) -> Vec<u64> {
+        let s = self.limbs();
+        let digit = |w: usize| {
+            let bit = w * WINDOW_BITS;
+            (exp.limbs[bit / 64] >> (bit % 64)) as usize & ((1 << WINDOW_BITS) - 1)
+        };
+        let windows = exp.bit_len().div_ceil(WINDOW_BITS);
+        let top = (0..windows).map(digit).max().unwrap_or(0);
+        let mut t = vec![0u64; s + 2];
+        let mut table = vec![self.one()];
+        for k in 1..=top {
+            self.mul(&table[k - 1], base, &mut t);
+            table.push(t[..s].to_vec());
+        }
+        let mut acc = table[0].clone();
+        for w in (0..windows).rev() {
+            if w + 1 < windows {
+                for _ in 0..WINDOW_BITS {
+                    self.mul(&acc, &acc, &mut t);
+                    acc.copy_from_slice(&t[..s]);
+                }
+            }
+            let d = digit(w);
+            if d != 0 {
+                self.mul(&acc, &table[d], &mut t);
+                acc.copy_from_slice(&t[..s]);
+            }
+        }
+        acc
     }
 }
 
@@ -441,7 +658,7 @@ impl fmt::Debug for BigUint {
             if i == 0 {
                 write!(f, "{limb:x}")?;
             } else {
-                write!(f, "{limb:08x}")?;
+                write!(f, "{limb:016x}")?;
             }
         }
         write!(f, ")")
@@ -470,6 +687,74 @@ mod tests {
         BigUint::from_u64(v)
     }
 
+    /// Bit-serial shift-and-subtract long division: the reference that
+    /// Algorithm D is checked against.
+    fn div_rem_reference(a: &BigUint, d: &BigUint) -> (BigUint, BigUint) {
+        assert!(!d.is_zero());
+        if a < d {
+            return (BigUint::zero(), a.clone());
+        }
+        let shift = a.bit_len() - d.bit_len();
+        let mut rem = a.clone();
+        let mut quot = BigUint::zero();
+        for s in (0..=shift).rev() {
+            let ds = d.shl(s);
+            if rem >= ds {
+                rem = rem.sub(&ds);
+                quot = quot.add(&BigUint::one().shl(s));
+            }
+        }
+        (quot, rem)
+    }
+
+    /// Right-to-left square-and-multiply with plain products and
+    /// remainders: the reference that the Montgomery path is checked
+    /// against (any modulus, odd or even).
+    fn modpow_reference(base: &BigUint, exp: &BigUint, m: &BigUint) -> BigUint {
+        let mut result = BigUint::one().rem(m);
+        let mut base = base.rem(m);
+        for i in 0..exp.bit_len() {
+            if exp.bit(i) {
+                result = result.mul(&base).rem(m);
+            }
+            base = base.mul(&base).rem(m);
+        }
+        result
+    }
+
+    /// A random odd modulus of exactly `bits` bits.
+    fn odd_modulus(rng: &mut StdRng, bits: usize) -> BigUint {
+        let m = BigUint::random_bits(rng, bits);
+        if m.is_even() {
+            m.add(&BigUint::one())
+        } else {
+            m
+        }
+    }
+
+    /// Random operands with structured limbs (0, 1, all-ones, top bit
+    /// only) mixed in, which stress carries and the quotient estimate.
+    fn structured(rng: &mut StdRng, limbs: usize) -> BigUint {
+        BigUint::from_limbs(
+            (0..limbs)
+                .map(|_| match rng.random_range(0..6u32) {
+                    0 => 0,
+                    1 => 1,
+                    2 => u64::MAX,
+                    3 => 1 << 63,
+                    _ => rng.random(),
+                })
+                .collect(),
+        )
+    }
+
+    fn check_div_rem(a: &BigUint, d: &BigUint) {
+        let (q, r) = a.div_rem(d);
+        assert!(r < *d, "remainder {r:?} not below divisor {d:?}");
+        assert_eq!(q.mul(d).add(&r), *a, "q·d + r ≠ a for a={a:?} d={d:?}");
+        assert_eq!((q, r), div_rem_reference(a, d), "a={a:?} d={d:?}");
+    }
+
     #[test]
     fn from_to_bytes_round_trip() {
         let cases: [&[u8]; 4] = [&[], &[1], &[0xde, 0xad, 0xbe, 0xef, 0x42], &[0xff; 17]];
@@ -479,6 +764,8 @@ mod tests {
             // Leading zeros are stripped, so compare the numeric values.
             assert_eq!(BigUint::from_bytes_be(&back), n);
         }
+        let bytes: Vec<u8> = (1..=23).collect();
+        assert_eq!(BigUint::from_bytes_be(&bytes).to_bytes_be(), bytes);
     }
 
     #[test]
@@ -512,6 +799,12 @@ mod tests {
     }
 
     #[test]
+    #[should_panic]
+    fn sub_underflow_across_limbs_panics() {
+        let _ = b(u64::MAX).sub(&BigUint::one().shl(64));
+    }
+
+    #[test]
     fn mul_matches_u128() {
         let mut rng = StdRng::seed_from_u64(7);
         for _ in 0..200 {
@@ -528,13 +821,16 @@ mod tests {
         let mut rng = StdRng::seed_from_u64(8);
         for _ in 0..200 {
             let x: u128 = ((rng.random::<u64>() as u128) << 64) | rng.random::<u64>() as u128;
-            let y: u64 = rng.random_range(1..u64::MAX);
-            let q = x / y as u128;
-            let r = x % y as u128;
+            let y: u128 = if rng.random() {
+                rng.random_range(1..u64::MAX) as u128
+            } else {
+                x >> rng.random_range(1..64u32) | 1
+            };
             let xb = BigUint::from_bytes_be(&x.to_be_bytes());
-            let (qb, rb) = xb.div_rem(&b(y));
-            assert_eq!(qb, BigUint::from_bytes_be(&q.to_be_bytes()));
-            assert_eq!(rb, BigUint::from_bytes_be(&r.to_be_bytes()));
+            let yb = BigUint::from_bytes_be(&y.to_be_bytes());
+            let (qb, rb) = xb.div_rem(&yb);
+            assert_eq!(qb, BigUint::from_bytes_be(&(x / y).to_be_bytes()));
+            assert_eq!(rb, BigUint::from_bytes_be(&(x % y).to_be_bytes()));
         }
     }
 
@@ -545,11 +841,81 @@ mod tests {
     }
 
     #[test]
+    fn div_rem_matches_reference_across_divisor_sizes() {
+        let mut rng = StdRng::seed_from_u64(14);
+        for divisor_limbs in [1usize, 2, 3, 5, 9] {
+            for _ in 0..40 {
+                let d = structured(&mut rng, divisor_limbs);
+                if d.is_zero() {
+                    continue;
+                }
+                let extra = rng.random_range(0..4usize);
+                let a = structured(&mut rng, divisor_limbs + extra);
+                check_div_rem(&a, &d);
+                // Dividends just below, at and above multiples of d.
+                let k = structured(&mut rng, extra + 1);
+                let kd = k.mul(&d);
+                check_div_rem(&kd, &d);
+                check_div_rem(&kd.add(&d.sub(&BigUint::one())), &d);
+                if !kd.is_zero() {
+                    check_div_rem(&kd.sub(&BigUint::one()), &d);
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn div_rem_normalization_edges() {
+        let mut rng = StdRng::seed_from_u64(15);
+        let top_limbs = [1u64, 2, 3, (1 << 63) - 1, 1 << 63, u64::MAX];
+        for &top in &top_limbs {
+            for n in [2usize, 3, 4] {
+                // Divisor top limb with every normalization shift from
+                // 63 (top = 1) to 0 (top bit already set).
+                let mut dl: Vec<u64> = (0..n - 1).map(|_| rng.random()).collect();
+                dl.push(top);
+                let d = BigUint::from_limbs(dl.clone());
+                for a in [
+                    structured(&mut rng, n + 2),
+                    BigUint::from_limbs(vec![u64::MAX; n + 2]),
+                    d.shl(64).sub(&BigUint::one()),
+                    d.mul(&d),
+                ] {
+                    check_div_rem(&a, &d);
+                }
+            }
+        }
+        // q̂ overestimates by one and needs the add-back step (the
+        // 64-bit analogue of Hacker's Delight's divmnu add-back case).
+        let a = BigUint::from_limbs(vec![0, 0, 1 << 63, (1 << 63) - 1]);
+        let d = BigUint::from_limbs(vec![1, 0, 1 << 63]);
+        check_div_rem(&a, &d);
+        // Equal, smaller and one-limb operands.
+        check_div_rem(&d, &d);
+        check_div_rem(&d.sub(&BigUint::one()), &d);
+        check_div_rem(&a, &b(1));
+        check_div_rem(&a, &b(u64::MAX));
+    }
+
+    #[test]
+    fn rem_u64_matches_div_rem() {
+        let mut rng = StdRng::seed_from_u64(16);
+        for _ in 0..100 {
+            let limbs = rng.random_range(0..6usize);
+            let a = structured(&mut rng, limbs);
+            let d = rng.random_range(1..u64::MAX);
+            assert_eq!(b(a.rem_u64(d)), a.rem(&b(d)));
+        }
+    }
+
+    #[test]
     fn shifts() {
         let x = b(0b1011);
         assert_eq!(x.shl(3), b(0b1011000));
         assert_eq!(x.shr(2), b(0b10));
         assert_eq!(x.shl(100).shr(100), x);
+        assert_eq!(x.shl(64).shr(64), x);
+        assert_eq!(b(u64::MAX).shl(1).shr(1), b(u64::MAX));
         assert_eq!(BigUint::zero().shl(64), BigUint::zero());
         assert_eq!(b(1).shr(1), BigUint::zero());
     }
@@ -563,6 +929,7 @@ mod tests {
         let x = b(0b101);
         assert!(x.bit(0) && !x.bit(1) && x.bit(2) && !x.bit(3));
         assert!(!x.bit(1000));
+        assert!(BigUint::one().shl(64).bit(64));
     }
 
     #[test]
@@ -578,19 +945,89 @@ mod tests {
         assert_eq!(b(12345).modpow(&b(0), &b(97)), b(1));
         // modulus 1
         assert_eq!(b(5).modpow(&b(5), &b(1)), b(0));
+        // base 0 and base ≡ 0
+        assert_eq!(b(0).modpow(&b(3), &b(97)), b(0));
+        assert_eq!(b(194).modpow(&b(3), &b(97)), b(0));
+    }
+
+    #[test]
+    #[should_panic(expected = "odd")]
+    fn modpow_even_modulus_panics() {
+        let _ = b(3).modpow(&b(5), &b(8));
+    }
+
+    #[test]
+    #[should_panic(expected = "odd")]
+    fn modpow_zero_modulus_panics() {
+        let _ = b(3).modpow(&b(5), &BigUint::zero());
     }
 
     #[test]
     fn modpow_large_random_consistency() {
         // (a^e1)^e2 == a^(e1*e2) mod m
         let mut rng = StdRng::seed_from_u64(9);
-        let m = BigUint::random_bits(&mut rng, 128);
+        let m = odd_modulus(&mut rng, 128);
         let a = BigUint::random_bits(&mut rng, 100);
         let e1 = b(rng.random_range(2..1000));
         let e2 = b(rng.random_range(2..1000));
         let lhs = a.modpow(&e1, &m).modpow(&e2, &m);
         let rhs = a.modpow(&e1.mul(&e2), &m);
         assert_eq!(lhs, rhs);
+    }
+
+    #[test]
+    fn modpow_matches_reference() {
+        let mut rng = StdRng::seed_from_u64(17);
+        for bits in [64usize, 65, 127, 128, 192, 521, 1024, 2048] {
+            let m = odd_modulus(&mut rng, bits);
+            let ones = |k: usize| BigUint::one().shl(k).sub(&BigUint::one());
+            // The full-size exponents cost the reference a few seconds
+            // in a debug build above 1024 bits; short ones cover the
+            // window logic there as well.
+            let full = bits <= 1024;
+            let mut exps = vec![b(0), b(1), b(2), b(65537), ones(64)];
+            if full {
+                exps.push(ones(bits));
+                exps.push(BigUint::random_bits(&mut rng, bits + 70));
+            } else {
+                exps.push(BigUint::random_bits(&mut rng, 300));
+            }
+            let bases = [
+                BigUint::zero(),
+                BigUint::one(),
+                m.sub(&BigUint::one()),
+                BigUint::random_below(&mut rng, &m),
+                // Bases at or above the modulus are reduced first.
+                m.clone(),
+                m.add(&BigUint::random_bits(&mut rng, bits + 5)),
+            ];
+            for e in &exps {
+                for base in &bases {
+                    if !full && (base.is_zero() || base.is_one()) {
+                        continue;
+                    }
+                    assert_eq!(
+                        base.modpow(e, &m),
+                        modpow_reference(base, e, &m),
+                        "bits={bits} base={base:?} e={e:?}"
+                    );
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn montgomery_square_matches_modpow() {
+        let mut rng = StdRng::seed_from_u64(18);
+        let m = odd_modulus(&mut rng, 200);
+        let mont = Montgomery::new(&m);
+        let a = BigUint::random_below(&mut rng, &m);
+        let mut x = mont.residue(&a);
+        for k in 1..6u32 {
+            mont.square(&mut x);
+            assert_eq!(mont.value(&x), a.modpow(&b(1 << k), &m));
+        }
+        assert_eq!(mont.value(&mont.one()), BigUint::one());
     }
 
     #[test]
@@ -646,6 +1083,18 @@ mod tests {
     }
 
     #[test]
+    fn random_bits_draws_u32_words_little_endian() {
+        // One u32 per 32 bits, lowest word first: the draw order that
+        // keeps seeded keys stable.
+        let mut rng = StdRng::seed_from_u64(19);
+        let words: Vec<u32> = (0..3).map(|_| rng.random()).collect();
+        let expected = BigUint::from_u64(words[0] as u64 | (words[1] as u64) << 32)
+            .add(&b((words[2] & 0xFFFF | 0x8000) as u64).shl(64));
+        let mut rng = StdRng::seed_from_u64(19);
+        assert_eq!(BigUint::random_bits(&mut rng, 80), expected);
+    }
+
+    #[test]
     fn random_below_in_range() {
         let mut rng = StdRng::seed_from_u64(13);
         let bound = b(1000);
@@ -684,5 +1133,14 @@ mod tests {
         assert!(b(3) < b(5));
         assert!(b(5) > b(3));
         assert!(b(u64::MAX).add(&b(1)) > b(u64::MAX));
+    }
+
+    #[test]
+    fn debug_prints_hex() {
+        assert_eq!(format!("{:?}", BigUint::zero()), "BigUint(0)");
+        assert_eq!(
+            format!("{:?}", BigUint::one().shl(64).add(&b(0xab))),
+            "BigUint(0x100000000000000ab)"
+        );
     }
 }

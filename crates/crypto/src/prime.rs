@@ -1,7 +1,12 @@
 //! Probabilistic primality testing and random prime generation for RSA
 //! key material.
+//!
+//! The random draws are part of the contract: a seeded generator must
+//! yield the same primes (and so the same RSA keys) whatever the
+//! arithmetic underneath, because committed proofs and snapshots embed
+//! keys derived from fixed seeds.
 
-use crate::bigint::BigUint;
+use crate::bigint::{BigUint, Montgomery};
 use rand::Rng;
 
 /// Small primes used for cheap trial division before Miller–Rabin.
@@ -17,31 +22,32 @@ const MR_ROUNDS: usize = 24;
 /// Returns true iff `n` is (probably) prime.
 ///
 /// Deterministic for `n < 252` via the small-prime table, then trial
-/// division, then `MR_ROUNDS` (24) rounds of Miller–Rabin with random
-/// bases.
+/// division (one single-limb remainder loop per small prime), then
+/// `MR_ROUNDS` (24) rounds of Miller–Rabin with random bases.
 pub fn is_probable_prime<R: Rng + ?Sized>(n: &BigUint, rng: &mut R) -> bool {
     if n.is_zero() || n.is_one() {
         return false;
     }
+    let small = n.to_u64();
     for &p in &SMALL_PRIMES {
-        let pb = BigUint::from_u64(p as u64);
-        match n.cmp_to(&pb) {
-            std::cmp::Ordering::Equal => return true,
-            std::cmp::Ordering::Less => return false,
-            std::cmp::Ordering::Greater => {}
+        let p = p as u64;
+        match small {
+            Some(v) if v == p => return true,
+            Some(v) if v < p => return false,
+            _ => {}
         }
-        if n.rem(&pb).is_zero() {
+        if n.rem_u64(p) == 0 {
             return false;
         }
     }
     miller_rabin(n, MR_ROUNDS, rng)
 }
 
-/// Miller–Rabin with `rounds` random bases in `[2, n-2]`.
+/// Miller–Rabin with `rounds` random bases in `[2, n-2]`, on one
+/// Montgomery context for `n` shared by every round.
 fn miller_rabin<R: Rng + ?Sized>(n: &BigUint, rounds: usize, rng: &mut R) -> bool {
-    let one = BigUint::one();
     let two = BigUint::from_u64(2);
-    let n_minus_1 = n.sub(&one);
+    let n_minus_1 = n.sub(&BigUint::one());
     // n - 1 = d * 2^s with d odd
     let mut d = n_minus_1.clone();
     let mut s = 0usize;
@@ -49,17 +55,20 @@ fn miller_rabin<R: Rng + ?Sized>(n: &BigUint, rounds: usize, rng: &mut R) -> boo
         d = d.shr(1);
         s += 1;
     }
+    let mont = Montgomery::new(n);
+    let one = mont.one();
+    let minus_one = mont.residue(&n_minus_1);
+    let span = n.sub(&BigUint::from_u64(3));
     'witness: for _ in 0..rounds {
         // a uniform in [2, n-2]
-        let span = n.sub(&BigUint::from_u64(3));
         let a = BigUint::random_below(rng, &span).add(&two);
-        let mut x = a.modpow(&d, n);
-        if x.is_one() || x == n_minus_1 {
+        let mut x = mont.pow(&mont.residue(&a), &d);
+        if x == one || x == minus_one {
             continue 'witness;
         }
         for _ in 0..s - 1 {
-            x = x.modpow(&two, n);
-            if x == n_minus_1 {
+            mont.square(&mut x);
+            if x == minus_one {
                 continue 'witness;
             }
         }

@@ -151,6 +151,41 @@ fn truncated_snapshots_fail_typed() {
     std::fs::remove_dir_all(&dir).ok();
 }
 
+/// A snapshot whose owner key has an even modulus — storage checksum
+/// recomputed, so only the key decoder can catch it — fails typed as
+/// corruption instead of reaching RSA verification.
+#[test]
+fn even_modulus_owner_key_fails_typed() {
+    use spnet_crypto::digest::hash_bytes;
+
+    let _g = sign_lock();
+    let p = publish(&MethodConfig::Dij, 912);
+    let dir = tmpdir("even-key");
+    let path = p.save_snapshot(&dir).unwrap();
+    let mut bytes = std::fs::read(&path).unwrap();
+
+    let key = p.public_key.to_bytes();
+    let find = |hay: &[u8], needle: &[u8]| hay.windows(needle.len()).position(|w| w == needle);
+    let key_at = find(&bytes, &key).expect("key blob in snapshot");
+    let sum_at = find(&bytes, hash_bytes(&key).as_bytes()).expect("key checksum in table");
+    // Byte 8 + n_len − 1 of the encoding is the low byte of n.
+    let n_len = u32::from_le_bytes(key[4..8].try_into().unwrap()) as usize;
+    let mut even = key.clone();
+    even[8 + n_len - 1] ^= 0x01;
+    bytes[key_at..key_at + key.len()].copy_from_slice(&even);
+    bytes[sum_at..sum_at + 32].copy_from_slice(hash_bytes(&even).as_bytes());
+    std::fs::write(&path, &bytes).unwrap();
+
+    for backend in [StoreBackend::Mem, StoreBackend::File] {
+        match ProviderPackage::load_snapshot(&dir, backend) {
+            Err(SnapshotError::Corrupt(_)) => {}
+            Err(other) => panic!("want Corrupt, got {other:?}"),
+            Ok(_) => panic!("an even-modulus key must not load"),
+        }
+    }
+    std::fs::remove_dir_all(&dir).ok();
+}
+
 /// A bumped format version is rejected as [`spnet_store::StoreError::UnsupportedVersion`],
 /// distinct from corruption, so future formats can negotiate.
 #[test]
