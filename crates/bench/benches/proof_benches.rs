@@ -35,17 +35,17 @@ fn bench_prove_and_verify(c: &mut Criterion) {
         let p = DataOwner::publish(&g, &method, &SetupConfig::default(), &mut rng);
         let client = Client::new(p.public_key.clone());
         let provider = ServiceProvider::new(p.package);
-        let answer = provider.answer(s, t).unwrap();
+        let answer = provider.answer(&[(s, t)]).unwrap();
         client
-            .verify(s, t, &answer)
+            .verify(&[(s, t)], &answer)
             .expect("honest answer verifies");
         let mut grp = c.benchmark_group(format!("proto_{}", method.name()));
         grp.sample_size(20);
         grp.bench_function("prove", |b| {
-            b.iter(|| provider.answer(black_box(s), black_box(t)).unwrap())
+            b.iter(|| provider.answer(&[(black_box(s), black_box(t))]).unwrap())
         });
         grp.bench_function("verify", |b| {
-            b.iter(|| client.verify(s, t, black_box(&answer)).unwrap())
+            b.iter(|| client.verify(&[(s, t)], black_box(&answer)).unwrap())
         });
         grp.finish();
     }

@@ -251,7 +251,10 @@ pub fn run_churn(cfg: &ChurnConfig) -> ChurnReport {
         // MVCC smoke: pinned session drains through the first update.
         let (qs, qt) = pairs[0];
         let pinned = service.open_session(client.clone()).expect("epoch 0");
-        let before = pinned.query(qs, qt).expect("pre-update answer");
+        let before = pinned
+            .query_batch(&[(qs, qt)])
+            .expect("pre-update answer")
+            .remove(0);
         let mut rng_u = StdRng::seed_from_u64(cfg.seed ^ 0xE2);
         let (u0, v0, _) = edges[rng_u.random_range(0..edges.len())];
         let w0 = rng_u.random_range(0.05f64..8.0);
@@ -259,8 +262,8 @@ pub fn run_churn(cfg: &ChurnConfig) -> ChurnReport {
             .update_edge_weight(&keypair, u0, v0, w0)
             .expect("service routes the update");
         let pinned_ok = pinned
-            .query(qs, qt)
-            .map(|a| a.distance.to_bits() == before.distance.to_bits())
+            .query_batch(&[(qs, qt)])
+            .map(|a| a[0].distance.to_bits() == before.distance.to_bits())
             .unwrap_or(false);
         let fresh_ok = service
             .open_session(client.clone())
@@ -282,7 +285,7 @@ pub fn run_churn(cfg: &ChurnConfig) -> ChurnReport {
             let session = service.open_session(client.clone()).expect("new epoch");
             for q in 0..cfg.queries_per_epoch {
                 let (s, t) = pairs[(i * cfg.queries_per_epoch + q) % pairs.len()];
-                std::hint::black_box(session.query(s, t).expect("verified answer"));
+                std::hint::black_box(session.query_batch(&[(s, t)]).expect("verified answer"));
             }
         }
         let elapsed = t0.elapsed().as_secs_f64().max(1e-9);

@@ -404,12 +404,12 @@ pub fn ablation_chain(cfg: &HarnessConfig) -> Vec<(String, Table)> {
     let client = spnet_core::Client::new(kp.public_key().clone());
     let _ = client;
     for &(s, t) in &workload.pairs {
-        let answer = provider.answer(s, t).unwrap();
+        let answer = provider.answer(&[(s, t)]).unwrap();
         mht_bytes += answer.integrity.size_bytes();
         mht_items += answer.integrity.num_items();
         // Time the Merkle reconstruction alone.
         let tuples: Vec<&spnet_core::tuple::ExtendedTuple> =
-            answer.sp.tuples().iter().map(|t| &**t).collect();
+            answer.pool.iter().map(|t| &**t).collect();
         let leaves: Vec<(usize, spnet_crypto::digest::Digest)> = tuples
             .iter()
             .zip(&answer.integrity.positions)

@@ -280,7 +280,7 @@ mod tests {
         let wl = spnet_graph::workload::make_workload(&g, 2000.0, 5, 1603);
         let mut measured = 0.0;
         for &(s, t) in &wl.pairs {
-            measured += provider.answer(s, t).unwrap().stats().total_bytes() as f64;
+            measured += provider.answer(&[(s, t)]).unwrap().stats().total_bytes() as f64;
         }
         measured /= wl.pairs.len() as f64;
         let predicted = m.predict_dij(2000.0);

@@ -33,7 +33,7 @@ use rand::SeedableRng;
 use spnet_core::methods::{LdmConfig, MethodConfig};
 use spnet_core::owner::{DataOwner, SetupConfig};
 use spnet_core::provider::ServiceProvider;
-use spnet_core::wire::encode_answer;
+use spnet_core::wire::encode_batch_answer;
 use spnet_core::{Client, SpService};
 use spnet_crypto::rsa::RsaKeyPair;
 use spnet_graph::gen::grid_network;
@@ -226,7 +226,7 @@ pub fn run_queries(cfg: &QueriesConfig) -> QueriesReport {
         // A plain provider for the per-pair answers the pooled matrix
         // is compared against; the clone goes into the session facade.
         let provider = ServiceProvider::new(published.package.clone());
-        let service = SpService::new(published.package);
+        let service = SpService::builder().package(published.package).build();
         let session = service
             .open_session(Client::new(published.public_key))
             .expect("authentic epoch");
@@ -279,7 +279,9 @@ pub fn run_queries(cfg: &QueriesConfig) -> QueriesReport {
         let matrix_separate_bytes: u64 = mat_sources
             .iter()
             .flat_map(|&s| mat_targets.iter().map(move |&t| (s, t)))
-            .map(|(s, t)| encode_answer(&provider.answer(s, t).expect("reachable")).len() as u64)
+            .map(|(s, t)| {
+                encode_batch_answer(&provider.answer(&[(s, t)]).expect("reachable")).len() as u64
+            })
             .sum();
 
         let row = QueriesRow {

@@ -69,17 +69,20 @@ pub fn run_method(graph: &Graph, method: &MethodConfig, cfg: &HarnessConfig) -> 
     let mut verify_s = 0.0;
     for &(s, t) in &workload.pairs {
         let t0 = Instant::now();
-        let answer = provider.answer(s, t).expect("workload pairs are reachable");
+        let answer = provider
+            .answer(&[(s, t)])
+            .expect("workload pairs are reachable");
         gen_s += t0.elapsed().as_secs_f64();
         total.add(&answer.stats());
         if cfg.verify {
             let t1 = Instant::now();
             let v = client
-                .verify(s, t, &answer)
-                .unwrap_or_else(|e| panic!("{}: honest answer rejected: {e}", method.name()));
+                .verify(&[(s, t)], &answer)
+                .unwrap_or_else(|e| panic!("{}: honest answer rejected: {e}", method.name()))[0];
             verify_s += t1.elapsed().as_secs_f64();
+            let reported = answer.queries[0].path.distance;
             assert!(
-                (v.distance - answer.path.distance).abs() <= 1e-6 * v.distance.max(1.0),
+                (v - reported).abs() <= 1e-6 * v.max(1.0),
                 "verified distance mismatch"
             );
         }

@@ -9,8 +9,8 @@
 //!   the 4-ary heap and to the calibrated bucket queue. The committed
 //!   ratio on the 1M road network is the repo's headline claim for the
 //!   bucket queue (gated ≥ 2× by `spnet_bench::gate`).
-//! * **Method rates** — owner build time plus single-query prove /
-//!   verify qps for DIJ, LDM and HYP over a range-bounded workload.
+//! * **Method rates** — owner build time plus one-query-at-a-time
+//!   (batch of one) prove / verify qps for DIJ, LDM and HYP over a range-bounded workload.
 //!   FULL is excluded by construction: its O(|V|²) distance matrix is
 //!   ≥ 10¹⁰ entries at these sizes and cannot be materialized (the
 //!   same reason the paper caps FULL's own evaluation).
@@ -252,16 +252,16 @@ fn measure_method(g: &Graph, method: &MethodConfig, cfg: &ScaleConfig) -> Method
 
     let prove = best_secs(cfg.sssp_passes, || {
         for &(s, t) in &pairs {
-            std::hint::black_box(provider.answer(s, t).expect("workload reachable"));
+            std::hint::black_box(provider.answer(&[(s, t)]).expect("workload reachable"));
         }
     });
     let answers: Vec<_> = pairs
         .iter()
-        .map(|&(s, t)| provider.answer(s, t).expect("workload reachable"))
+        .map(|&(s, t)| provider.answer(&[(s, t)]).expect("workload reachable"))
         .collect();
     let verify = best_secs(cfg.sssp_passes, || {
         for (&(s, t), a) in pairs.iter().zip(&answers) {
-            std::hint::black_box(client.verify(s, t, a).expect("honest answer"));
+            std::hint::black_box(client.verify(&[(s, t)], a).expect("honest answer"));
         }
     });
     let m = MethodScale {

@@ -35,7 +35,7 @@ use rand::SeedableRng;
 use spnet_core::methods::MethodConfig;
 use spnet_core::owner::{DataOwner, ProviderPackage, SetupConfig};
 use spnet_core::provider::ServiceProvider;
-use spnet_core::wire::encode_answer;
+use spnet_core::wire::encode_batch_answer;
 use spnet_core::StoreBackend;
 use spnet_graph::gen::road_network;
 use spnet_graph::io::{load_graph, save_graph};
@@ -188,10 +188,10 @@ pub fn run_store(cfg: &StoreConfig) -> StoreReport {
         // Cold providers must serve byte-identical verified answers.
         let (s, t) = make_workload(&g, cfg.range, 1, cfg.seed ^ 0x570F).pairs[0];
         let fresh = ServiceProvider::new(published.package);
-        let want = encode_answer(&fresh.answer(s, t).expect("workload reachable"));
+        let want = encode_batch_answer(&fresh.answer(&[(s, t)]).expect("workload reachable"));
         for loaded in [mem, file] {
             let cold = ServiceProvider::new(loaded.package);
-            let got = encode_answer(&cold.answer(s, t).expect("workload reachable"));
+            let got = encode_batch_answer(&cold.answer(&[(s, t)]).expect("workload reachable"));
             assert_eq!(got, want, "cold answer must be byte-equal");
         }
         std::fs::remove_dir_all(&dir).ok();

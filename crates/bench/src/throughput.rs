@@ -4,8 +4,8 @@
 //! provider that serves "heavy traffic from millions of users", so
 //! from PR 1 onward the repo tracks end-to-end **throughput**:
 //!
-//! * `prove_qps` / `verify_qps` — single-query `answer` / `verify`
-//!   rates over a paper-style workload,
+//! * `prove_qps` / `verify_qps` — `answer` / `verify` rates of one
+//!   query at a time (a batch of one) over a paper-style workload,
 //! * `batch_prove_qps` / `batch_verify_qps` — the same workload served
 //!   through the pooled batch path (all four methods), which shares
 //!   tuples, Merkle covers, signed roots and method hint proofs across
@@ -147,16 +147,16 @@ pub fn run_throughput(cfg: &HarnessConfig) -> ThroughputReport {
 
         let prove_qps = measure_qps(pairs.len(), 400, || {
             for &(s, t) in &pairs {
-                std::hint::black_box(provider.answer(s, t).expect("workload reachable"));
+                std::hint::black_box(provider.answer(&[(s, t)]).expect("workload reachable"));
             }
         });
         let answers: Vec<_> = pairs
             .iter()
-            .map(|&(s, t)| provider.answer(s, t).expect("workload reachable"))
+            .map(|&(s, t)| provider.answer(&[(s, t)]).expect("workload reachable"))
             .collect();
         let verify_qps = measure_qps(pairs.len(), 400, || {
             for (&(s, t), a) in pairs.iter().zip(&answers) {
-                std::hint::black_box(client.verify(s, t, a).expect("honest answer"));
+                std::hint::black_box(client.verify(&[(s, t)], a).expect("honest answer"));
             }
         });
 
@@ -170,7 +170,9 @@ pub fn run_throughput(cfg: &HarnessConfig) -> ThroughputReport {
 
         // The batch rates go through the session facade — the only
         // batch entry point since the raw ones were removed.
-        let service = SpService::with_provider(provider);
+        let service = SpService::builder()
+            .package(provider.package().clone())
+            .build();
         let session = service
             .open_session(client.clone())
             .expect("authentic epoch");

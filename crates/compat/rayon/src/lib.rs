@@ -31,8 +31,13 @@ where
     R: Send,
     F: Fn(&'a T) -> R + Sync,
 {
-    let threads = current_num_threads().min(items.len()).max(1);
-    if threads <= 1 || items.len() <= 1 {
+    // One item never fans out: skip the core-count probe (a syscall
+    // that costs more than a batch of one's whole fan-out decision).
+    if items.len() <= 1 {
+        return items.iter().map(f).collect();
+    }
+    let threads = current_num_threads().min(items.len());
+    if threads <= 1 {
         return items.iter().map(f).collect();
     }
     let mut out: Vec<Option<R>> = Vec::with_capacity(items.len());

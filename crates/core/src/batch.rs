@@ -1,17 +1,20 @@
-//! Batched queries with shared integrity and hint proofs — for **all
-//! four methods**.
+//! The answer format: pooled integrity and hint proofs for *k* queries
+//! — for **all four methods**. A single query is a batch of one; there
+//! is no other proof path.
 //!
 //! The paper notes (Section V-B) that combining proofs "reduces the
 //! size of the integrity proof"; this module generalizes that idea:
 //! a client (e.g. the logistics auditor of `examples/logistics_audit`)
-//! submits *k* queries at once, and the provider ships
+//! submits *k* queries at once, and the provider
+//! ([`ServiceProvider::answer`](crate::ServiceProvider::answer)) ships
 //!
 //! * one **tuple pool** — the deduplicated union of every extended
 //!   tuple any query needs (subgraph Γ for DIJ/LDM, path tuples for
 //!   FULL, cell + path tuples for HYP),
 //! * one **shared ΓT** — a single Merkle cover for the whole pool
 //!   (overlapping queries share both tuples and cover digests),
-//! * per query, the reported path plus the pool-indices of its Γ, and
+//! * per query, the reported path plus the ascending pool indices of
+//!   its Γ (a batch of one covers its whole pool), and
 //! * one **method aux block** ([`BatchAux`]) holding whatever the
 //!   method's ΓS machinery needs beyond the pool, also pooled:
 //!   - DIJ/LDM: nothing — the pool *is* the proof,
@@ -23,38 +26,31 @@
 //!     border-distance matrix ships and is verified once per batch
 //!     instead of once per query.
 //!
-//! The client authenticates the pool and the aux block once (one
-//! signature check per signed root per *batch*, not per query), then
-//! re-runs each query's verification against its slice of the pool.
+//! The client ([`Client::verify`](crate::Client::verify)) authenticates
+//! the pool and the aux block once (one signature check per signed
+//! root per *batch*, not per query), then re-runs each query's
+//! verification against its slice of the pool.
 //! Per-query proving and verification fan out over threads via the
 //! crate's `par` fan-out point when the default `parallel` feature is
 //! on.
 
 use crate::ads::SignedRoot;
-use crate::client::check_reported_path;
-use crate::error::{ProviderError, VerifyError};
+use crate::enc::Encoder;
 use crate::methods::full::FullBatchProof;
 use crate::methods::hyp::HypBatchState;
-use crate::methods::{MethodParams, PinnedAux, VerifyCtx};
-use crate::proof::IntegrityProof;
-use crate::provider::ServiceProvider;
+use crate::proof::{IntegrityProof, ProofStats};
 use crate::tuple::ExtendedTuple;
-use crate::Client;
-use spnet_crypto::digest::Digest;
 use spnet_crypto::mbtree::KeyedProof;
-use spnet_graph::algo::dijkstra_path;
-use spnet_graph::{NodeId, Path};
-use std::collections::{BTreeMap, HashMap};
+use spnet_graph::Path;
+use std::collections::HashMap;
 use std::sync::Arc;
-
-use crate::par::{map_jobs, map_jobs_indexed};
 
 /// One query's slice of a batch answer.
 #[derive(Debug, Clone, PartialEq)]
 pub struct BatchQueryProof {
     /// The reported shortest path.
     pub path: Path,
-    /// Indices into the batch pool forming this query's Γ.
+    /// Ascending indices into the batch pool forming this query's Γ.
     pub members: Vec<u32>,
 }
 
@@ -85,6 +81,22 @@ pub enum BatchAux {
 }
 
 impl BatchAux {
+    /// Number of ΓS entries and digests in the aux block.
+    pub fn num_items(&self) -> usize {
+        match self {
+            BatchAux::Subgraph => 0,
+            BatchAux::Full { proof, .. } => proof.num_items(),
+            BatchAux::Hyp {
+                hyper, cell_dir, ..
+            } => {
+                hyper.entries.len()
+                    + hyper.num_items()
+                    + cell_dir.entries.len()
+                    + cell_dir.num_items()
+            }
+        }
+    }
+
     /// Serialized size in bytes of the aux block.
     pub fn size_bytes(&self) -> usize {
         match self {
@@ -122,102 +134,48 @@ pub struct BatchAnswer {
 }
 
 impl BatchAnswer {
-    /// Total size in bytes (pool tuples + per-query members/paths +
-    /// shared ΓT + method aux).
-    pub fn size_bytes(&self) -> usize {
-        let mut e = crate::enc::Encoder::new();
+    /// Proof-size statistics, the metrics of Figures 8–13: ΓS is the
+    /// pool, the member lists and the aux block; ΓT the shared cover.
+    pub fn stats(&self) -> ProofStats {
+        let mut e = Encoder::new();
         for t in &self.pool {
             t.encode(&mut e);
         }
-        let pool_bytes = e.len();
-        let query_bytes: usize = self
-            .queries
-            .iter()
-            .map(|q| q.path.nodes.len() * 4 + 8 + q.members.len() * 4)
-            .sum();
-        pool_bytes + query_bytes + self.integrity.size_bytes() + self.aux.size_bytes()
-    }
-}
-
-impl ServiceProvider {
-    /// The batch-proving engine behind the session and stream facades
-    /// ([`crate::service::Session::answer_batch`] is the public entry
-    /// point — it adds the epoch guard).
-    ///
-    /// Per-query search and Γ assembly fan out over threads (each
-    /// reusing its thread's search workspace) when the `parallel`
-    /// feature is on; the pooled result is identical either way.
-    pub(crate) fn answer_batch_impl(
-        &self,
-        queries: &[(NodeId, NodeId)],
-    ) -> Result<BatchAnswer, ProviderError> {
-        if queries.is_empty() {
-            return Err(ProviderError::ProofAssembly("empty batch".into()));
-        }
-        let g = &self.package.graph;
-        let ads = &self.package.ads;
-        let method = self.package.hints.method();
-        // Per-query path + covered node set, in parallel.
-        let solved = map_jobs(
-            queries,
-            |&(vs, vt)| -> Result<(Path, Vec<NodeId>), ProviderError> {
-                for v in [vs, vt] {
-                    if g.check_node(v).is_err() {
-                        return Err(ProviderError::UnknownNode(v));
-                    }
-                }
-                let path = dijkstra_path(g, vs, vt).map_err(|_| ProviderError::Unreachable {
-                    source: vs,
-                    target: vt,
-                })?;
-                let nodes = method.batch_members(&self.package, vs, vt, &path);
-                Ok((path, nodes))
-            },
-        );
-        let mut gammas: Vec<(Path, Vec<NodeId>)> = Vec::with_capacity(queries.len());
-        for r in solved {
-            gammas.push(r?);
-        }
-        // Pool = deduplicated union, ordered by node id.
-        let mut pool_index: BTreeMap<NodeId, u32> = BTreeMap::new();
-        for (_, nodes) in &gammas {
-            for &v in nodes {
-                let next = pool_index.len() as u32;
-                pool_index.entry(v).or_insert(next);
-            }
-        }
-        // BTreeMap iteration is id-ordered but insertion indices are
-        // arrival-ordered; rebuild densely in id order for determinism.
-        let pool_nodes: Vec<NodeId> = pool_index.keys().copied().collect();
-        let index_of: HashMap<NodeId, u32> = pool_nodes
-            .iter()
-            .enumerate()
-            .map(|(i, &v)| (v, i as u32))
-            .collect();
-        let pool: Vec<Arc<ExtendedTuple>> =
-            pool_nodes.iter().map(|&v| ads.tuple_shared(v)).collect();
-        let merkle = ads
-            .prove_nodes(pool_nodes.iter().copied())
-            .map_err(|e| ProviderError::ProofAssembly(e.to_string()))?;
-        let integrity = IntegrityProof {
-            positions: pool_nodes.iter().map(|&v| ads.position(v)).collect(),
-            merkle,
-            signed_root: self.package.network_root.clone(),
+        let member_bytes: usize = if self.implied_members() {
+            4
+        } else {
+            self.queries.iter().map(|q| 4 + q.members.len() * 4).sum()
         };
-        let aux = method.prove_batch(&self.package, queries)?;
-        let queries_out = gammas
-            .into_iter()
-            .map(|(path, nodes)| BatchQueryProof {
-                path,
-                members: nodes.iter().map(|v| index_of[v]).collect(),
-            })
-            .collect();
-        Ok(BatchAnswer {
-            pool,
-            queries: queries_out,
-            integrity,
-            aux,
-        })
+        ProofStats {
+            s_items: self.pool.len() + self.aux.num_items(),
+            t_items: self.integrity.num_items(),
+            s_bytes: e.len() + member_bytes + self.aux.size_bytes(),
+            t_bytes: self.integrity.size_bytes(),
+            path_bytes: self
+                .queries
+                .iter()
+                .map(|q| q.path.nodes.len() * 4 + 8)
+                .sum(),
+        }
+    }
+
+    /// Total size in bytes (pool tuples + per-query members/paths +
+    /// shared ΓT + method aux).
+    pub fn size_bytes(&self) -> usize {
+        self.stats().total_bytes()
+    }
+
+    /// True for a batch of one whose Γ is its whole pool — every honest
+    /// single-query answer. The wire format then ships one marker
+    /// instead of the member indices.
+    pub fn implied_members(&self) -> bool {
+        match self.queries.as_slice() {
+            [q] => {
+                q.members.len() == self.pool.len()
+                    && q.members.iter().zip(0u32..).all(|(&m, i)| m == i)
+            }
+            _ => false,
+        }
     }
 }
 
@@ -252,119 +210,20 @@ pub struct BatchVerifyState {
     pub(crate) hyp: HypBatchState,
 }
 
-impl Client {
-    /// The batch-verification engine behind the session and stream
-    /// facades ([`crate::service::Session::verify_batch`] is the public
-    /// entry point). With `pinned` the caller vouches it already
-    /// RSA-verified that exact signed root (once, at session open): the
-    /// batch root must then be byte-identical, and the signature check
-    /// is skipped. `pins` extends the same treatment to the method's
-    /// auxiliary signed roots (FULL distance tree, HYP hyper-edge and
-    /// cell-directory trees).
-    pub(crate) fn verify_batch_impl(
-        &self,
-        queries: &[(NodeId, NodeId)],
-        batch: &BatchAnswer,
-        pinned: Option<&SignedRoot>,
-        pins: Option<&PinnedAux>,
-    ) -> Result<Vec<f64>, VerifyError> {
-        self.verify_batch_with_state(queries, batch, pinned, pins, &BatchVerifyState::default())
-    }
-
-    /// [`Self::verify_batch_impl`] with a caller-owned
-    /// [`BatchVerifyState`], so tests can observe the per-batch caches
-    /// and sweep counters after verification.
-    pub(crate) fn verify_batch_with_state(
-        &self,
-        queries: &[(NodeId, NodeId)],
-        batch: &BatchAnswer,
-        pinned: Option<&SignedRoot>,
-        pins: Option<&PinnedAux>,
-        state: &BatchVerifyState,
-    ) -> Result<Vec<f64>, VerifyError> {
-        if queries.len() != batch.queries.len() {
-            return Err(VerifyError::MalformedIntegrityProof(format!(
-                "{} queries but {} proofs",
-                queries.len(),
-                batch.queries.len()
-            )));
-        }
-        // Shared ΓT: authenticate the pool once.
-        match pinned {
-            Some(root) => {
-                if batch.integrity.signed_root != *root {
-                    return Err(VerifyError::MetaMismatch(
-                        "signed root differs from pinned session root",
-                    ));
-                }
-            }
-            None => {
-                if !batch.integrity.signed_root.verify(self.public_key()) {
-                    return Err(VerifyError::BadSignature);
-                }
-            }
-        }
-        let params = MethodParams::decode(&batch.integrity.signed_root.meta.params)
-            .map_err(|_| VerifyError::MetaMismatch("undecodable method params"))?;
-        if batch.pool.len() != batch.integrity.positions.len() {
-            return Err(VerifyError::MalformedIntegrityProof(
-                "positions do not match pool".into(),
-            ));
-        }
-        let leaves: Vec<(usize, Digest)> = batch
-            .pool
-            .iter()
-            .zip(&batch.integrity.positions)
-            .map(|(t, &p)| (p as usize, t.digest()))
-            .collect();
-        let root = batch
-            .integrity
-            .merkle
-            .reconstruct_root(&leaves)
-            .map_err(|e| VerifyError::MalformedIntegrityProof(e.to_string()))?;
-        if root != batch.integrity.signed_root.root {
-            return Err(VerifyError::RootMismatch);
-        }
-        // Method aux: authenticate the pooled hint proofs once.
-        let method = params.method();
-        let vctx = VerifyCtx {
-            pk: self.public_key(),
-            pins,
-        };
-        let ctx = method.verify_batch_aux(&vctx, &params, &batch.aux)?;
-        method.prepare_batch_verify(&params, queries, batch, state);
-        // Per query: build the member map and re-run the verification —
-        // one independent job per query, fanned out over threads.
-        let outcomes = map_jobs_indexed(queries, |qi, &(vs, vt)| -> Result<f64, VerifyError> {
-            let q = &batch.queries[qi];
-            let mut map: HashMap<NodeId, &ExtendedTuple> = HashMap::with_capacity(q.members.len());
-            for &i in &q.members {
-                let t = batch
-                    .pool
-                    .get(i as usize)
-                    .ok_or(VerifyError::MalformedIntegrityProof(
-                        "member index out of pool".into(),
-                    ))?;
-                map.insert(t.id, &**t);
-            }
-            let proven = method.verify_batch_query(&params, &ctx, state, &map, vs, vt)?;
-            // Path checks against the authenticated pool.
-            check_reported_path(&map, vs, vt, &q.path, proven)?;
-            Ok(proven)
-        });
-        outcomes.into_iter().collect()
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::error::{ProviderError, VerifyError};
     use crate::methods::{LdmConfig, MethodConfig};
     use crate::owner::{DataOwner, SetupConfig};
+    use crate::provider::ServiceProvider;
+    use crate::Client;
     use rand::rngs::StdRng;
     use rand::SeedableRng;
+    use spnet_graph::algo::dijkstra_path;
     use spnet_graph::gen::grid_network;
     use spnet_graph::Graph;
+    use spnet_graph::NodeId;
 
     fn deploy(method: MethodConfig, seed: u64) -> (Graph, ServiceProvider, Client) {
         let g = grid_network(10, 10, 1.15, seed);
@@ -402,10 +261,8 @@ mod tests {
         for method in all_methods() {
             let (g, provider, client) = deploy(method.clone(), 1700);
             let queries = as_nodes(&QUERIES);
-            let batch = provider.answer_batch_impl(&queries).unwrap();
-            let distances = client
-                .verify_batch_impl(&queries, &batch, None, None)
-                .unwrap();
+            let batch = provider.answer(&queries).unwrap();
+            let distances = client.verify(&queries, &batch).unwrap();
             for (&(s, t), d) in queries.iter().zip(&distances) {
                 let truth = dijkstra_path(&g, s, t).unwrap().distance;
                 assert!(
@@ -424,10 +281,10 @@ mod tests {
         for method in all_methods() {
             let (_, provider, _) = deploy(method.clone(), 1701);
             let queries = as_nodes(&QUERIES);
-            let batch = provider.answer_batch_impl(&queries).unwrap();
+            let batch = provider.answer(&queries).unwrap();
             let individual: usize = queries
                 .iter()
-                .map(|&(s, t)| provider.answer(s, t).unwrap().stats().total_bytes())
+                .map(|&q| provider.answer(&[q]).unwrap().size_bytes())
                 .sum();
             assert!(
                 batch.size_bytes() < individual,
@@ -443,7 +300,7 @@ mod tests {
     fn hyp_batch_one_sweep_per_touched_cell() {
         let (_, provider, client) = deploy(MethodConfig::Hyp { cells: 9 }, 1720);
         let queries = as_nodes(&QUERIES);
-        let batch = provider.answer_batch_impl(&queries).unwrap();
+        let batch = provider.answer(&queries).unwrap();
         // The cells the batch touches, per the authenticated pool.
         let mut cells = std::collections::HashSet::new();
         for &(s, t) in &queries {
@@ -471,15 +328,25 @@ mod tests {
             0,
             "no per-endpoint fallback searches on the planned path"
         );
-        // Bit-identity with the sequential single-query verification,
-        // whose in-cell distances come from solo Dijkstras.
-        for (&(s, t), d) in queries.iter().zip(&swept) {
-            let single = client
-                .verify(s, t, &provider.answer(s, t).unwrap())
-                .unwrap();
+        // Bit-identity with the reference route: a stateless
+        // verification whose in-cell distances come from solo Dijkstras.
+        let BatchAux::Hyp {
+            hyper, cell_dir, ..
+        } = &batch.aux
+        else {
+            panic!("HYP batch must carry a Hyp aux");
+        };
+        for (q, (&(s, t), d)) in batch.queries.iter().zip(queries.iter().zip(&swept)) {
+            let map: HashMap<_, _> = q
+                .members
+                .iter()
+                .map(|&i| (batch.pool[i as usize].id, &*batch.pool[i as usize]))
+                .collect();
+            let solo =
+                crate::methods::hyp::verify_hyp_impl(&map, hyper, cell_dir, s, t, None).unwrap();
             assert_eq!(
                 d.to_bits(),
-                single.distance.to_bits(),
+                solo.to_bits(),
                 "({s},{t}): swept verify must be bit-identical"
             );
         }
@@ -489,7 +356,7 @@ mod tests {
     fn empty_batch_rejected() {
         let (_, provider, _) = deploy(MethodConfig::Dij, 1702);
         assert!(matches!(
-            provider.answer_batch_impl(&[]),
+            provider.answer(&[]),
             Err(ProviderError::ProofAssembly(_))
         ));
     }
@@ -499,12 +366,10 @@ mod tests {
         for method in all_methods() {
             let (_, provider, client) = deploy(method.clone(), 1703);
             let queries = as_nodes(&QUERIES);
-            let mut batch = provider.answer_batch_impl(&queries).unwrap();
+            let mut batch = provider.answer(&queries).unwrap();
             Arc::make_mut(&mut batch.pool[0]).adj[0].1 *= 0.5;
             assert!(
-                client
-                    .verify_batch_impl(&queries, &batch, None, None)
-                    .is_err(),
+                client.verify(&queries, &batch).is_err(),
                 "{}",
                 method.name()
             );
@@ -521,7 +386,7 @@ mod tests {
         for method in all_methods() {
             let (_, provider, client) = deploy(method.clone(), 1708);
             let queries = as_nodes(&QUERIES);
-            let honest = provider.answer_batch_impl(&queries).unwrap();
+            let honest = provider.answer(&queries).unwrap();
             let referenced: std::collections::HashSet<u32> = honest
                 .queries
                 .iter()
@@ -541,7 +406,7 @@ mod tests {
                 }
                 t.adj[0].1 *= 0.5;
                 assert_eq!(
-                    client.verify_batch_impl(&queries, &evil, None, None),
+                    client.verify(&queries, &evil),
                     Err(VerifyError::RootMismatch),
                     "{}: pool[{i}]",
                     method.name()
@@ -559,13 +424,13 @@ mod tests {
             1709,
         );
         let queries = as_nodes(&QUERIES);
-        let mut batch = provider.answer_batch_impl(&queries).unwrap();
+        let mut batch = provider.answer(&queries).unwrap();
         let BatchAux::Full { proof, .. } = &mut batch.aux else {
             panic!("FULL batch must carry a Full aux");
         };
         proof.rows[0].entries[0].value *= 0.5;
         assert_eq!(
-            client.verify_batch_impl(&queries, &batch, None, None),
+            client.verify(&queries, &batch),
             Err(VerifyError::RootMismatch)
         );
     }
@@ -574,14 +439,14 @@ mod tests {
     fn tampered_hyp_hyper_entry_rejected() {
         let (_, provider, client) = deploy(MethodConfig::Hyp { cells: 9 }, 1710);
         let queries = as_nodes(&QUERIES);
-        let mut batch = provider.answer_batch_impl(&queries).unwrap();
+        let mut batch = provider.answer(&queries).unwrap();
         let BatchAux::Hyp { hyper, .. } = &mut batch.aux else {
             panic!("HYP batch must carry a Hyp aux");
         };
         assert!(!hyper.entries.is_empty());
         hyper.entries[0].value *= 0.5;
         assert_eq!(
-            client.verify_batch_impl(&queries, &batch, None, None),
+            client.verify(&queries, &batch),
             Err(VerifyError::RootMismatch)
         );
     }
@@ -597,10 +462,10 @@ mod tests {
             1711,
         );
         let queries = as_nodes(&QUERIES);
-        let mut batch = provider.answer_batch_impl(&queries).unwrap();
+        let mut batch = provider.answer(&queries).unwrap();
         batch.aux = BatchAux::Subgraph;
         assert_eq!(
-            client.verify_batch_impl(&queries, &batch, None, None),
+            client.verify(&queries, &batch),
             Err(VerifyError::MetaMismatch(
                 "batch proof shape does not match signed method"
             ))
@@ -616,16 +481,14 @@ mod tests {
             1712,
         );
         let queries = as_nodes(&QUERIES);
-        let mut batch = provider.answer_batch_impl(&queries).unwrap();
+        let mut batch = provider.answer(&queries).unwrap();
         let BatchAux::Full { proof, .. } = &mut batch.aux else {
             panic!("FULL batch must carry a Full aux");
         };
         // Drop one row entirely: its queries must fail with a missing
         // key (or a malformed cover), never silently pass.
         proof.rows.remove(0);
-        assert!(client
-            .verify_batch_impl(&queries, &batch, None, None)
-            .is_err());
+        assert!(client.verify(&queries, &batch).is_err());
     }
 
     #[test]
@@ -633,16 +496,14 @@ mod tests {
         for method in all_methods() {
             let (_, provider, client) = deploy(method.clone(), 1704);
             let queries = as_nodes(&QUERIES);
-            let mut batch = provider.answer_batch_impl(&queries).unwrap();
+            let mut batch = provider.answer(&queries).unwrap();
             // Hide part of query 0's Γ: its verification must hit a
             // missing tuple (subgraph search, path check, or HYP cell
             // completeness).
             let keep = batch.queries[0].members.len() / 2;
             batch.queries[0].members.truncate(keep);
             assert!(
-                client
-                    .verify_batch_impl(&queries, &batch, None, None)
-                    .is_err(),
+                client.verify(&queries, &batch).is_err(),
                 "{}",
                 method.name()
             );
@@ -653,17 +514,15 @@ mod tests {
     fn suboptimal_path_in_batch_rejected() {
         let (g, provider, client) = deploy(MethodConfig::Dij, 1705);
         let queries = as_nodes(&QUERIES);
-        let honest = provider.answer_batch_impl(&queries).unwrap();
+        let honest = provider.answer(&queries).unwrap();
         // Replace query 1's path with a detour (keep honest proofs).
-        let single = provider.answer(queries[1].0, queries[1].1).unwrap();
+        let single = provider.answer(&queries[1..2]).unwrap();
         if let Some(evil_single) =
             crate::tamper::apply(crate::tamper::Attack::SuboptimalPath, &g, &single)
         {
             let mut evil = honest.clone();
-            evil.queries[1].path = evil_single.path;
-            assert!(client
-                .verify_batch_impl(&queries, &evil, None, None)
-                .is_err());
+            evil.queries[1].path = evil_single.queries[0].path.clone();
+            assert!(client.verify(&queries, &evil).is_err());
         }
     }
 
@@ -671,20 +530,16 @@ mod tests {
     fn query_count_mismatch_rejected() {
         let (_, provider, client) = deploy(MethodConfig::Dij, 1706);
         let queries = as_nodes(&QUERIES);
-        let batch = provider.answer_batch_impl(&queries).unwrap();
-        assert!(client
-            .verify_batch_impl(&queries[..2], &batch, None, None)
-            .is_err());
+        let batch = provider.answer(&queries).unwrap();
+        assert!(client.verify(&queries[..2], &batch).is_err());
     }
 
     #[test]
     fn member_index_out_of_pool_rejected() {
         let (_, provider, client) = deploy(MethodConfig::Dij, 1707);
         let queries = as_nodes(&QUERIES);
-        let mut batch = provider.answer_batch_impl(&queries).unwrap();
+        let mut batch = provider.answer(&queries).unwrap();
         batch.queries[0].members.push(batch.pool.len() as u32 + 7);
-        assert!(client
-            .verify_batch_impl(&queries, &batch, None, None)
-            .is_err());
+        assert!(client.verify(&queries, &batch).is_err());
     }
 }

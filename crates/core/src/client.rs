@@ -1,31 +1,33 @@
 //! The client: verifies answers against the owner's public key alone.
 //!
-//! A path is accepted iff (Section III-A):
+//! Every answer is a [`BatchAnswer`] — a single query is a batch of
+//! one. A reported path is accepted iff (Section III-A):
 //!
-//! 1. every tuple in ΓS is authentic — the reconstructed Merkle root
+//! 1. every pooled tuple is authentic — the reconstructed Merkle root
 //!    matches the owner-signed network root (ΓT);
-//! 2. the ΓS machinery proves the true optimum `dist(vs, vt)`;
+//! 2. the ΓS machinery (the query's pool slice plus the method's aux
+//!    block) proves the true optimum `dist(vs, vt)`;
 //! 3. the reported path uses only authenticated edges, starts at `vs`,
-//!    ends at `vt`, and its summed weight equals both its claimed
-//!    distance and the proven optimum.
+//!    ends at `vt`, and its summed weight equals its claimed distance
+//!    and the proven optimum (up to the rounding of its own hop sum).
+//!
+//! [`Client::verify`] RSA-checks every signed root it meets. Sessions
+//! ([`crate::service::Session`]) and the stream verifier instead check
+//! roots against the ones they pinned — RSA-verified once — at open.
 
 use crate::ads::SignedRoot;
+use crate::batch::{BatchAnswer, BatchVerifyState};
 use crate::error::VerifyError;
 use crate::methods::{MethodParams, PinnedAux, VerifyCtx};
-use crate::proof::{Answer, IntegrityProof, SpProof};
+use crate::par::map_jobs_indexed;
+use crate::proof::IntegrityProof;
 use crate::tuple::ExtendedTuple;
 use spnet_crypto::digest::Digest;
 use spnet_crypto::rsa::RsaPublicKey;
 use spnet_graph::path::close;
 use spnet_graph::NodeId;
 use std::collections::HashMap;
-
-/// A successfully verified answer.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct Verified {
-    /// The proven optimal distance `dist(vs, vt)`.
-    pub distance: f64,
-}
+use std::sync::Arc;
 
 /// The client role.
 #[derive(Debug, Clone)]
@@ -44,102 +46,115 @@ impl Client {
         &self.public_key
     }
 
-    /// Verifies a provider answer for query `(vs, vt)`.
-    pub fn verify(&self, vs: NodeId, vt: NodeId, answer: &Answer) -> Result<Verified, VerifyError> {
-        self.verify_impl(vs, vt, answer, None, None)
+    /// Verifies a provider answer for `queries`, returning the proven
+    /// optimum `dist(vs, vt)` per query. Every signed root in the
+    /// answer pays its RSA check.
+    pub fn verify(
+        &self,
+        queries: &[(NodeId, NodeId)],
+        answer: &BatchAnswer,
+    ) -> Result<Vec<f64>, VerifyError> {
+        self.verify_batch_impl(queries, answer, None, None)
     }
 
-    /// Like [`Self::verify`], but against a signed root this client has
-    /// already RSA-verified (once, e.g. at session open): the answer's
-    /// root must be byte-identical to `pinned`, and the per-answer
-    /// signature check is skipped. An answer signed for a *different*
-    /// epoch — even legitimately, by the same owner — is rejected,
-    /// which is what turns owner updates into explicit session
-    /// invalidation instead of silently accepted stale roots.
-    ///
-    /// `pins` extends the same treatment to the method's *auxiliary*
-    /// roots (FULL's distance tree, HYP's hyper-edge and cell-directory
-    /// trees): a root covered by the pins skips its per-answer RSA
-    /// check too. All Merkle reconstructions still run in full.
-    pub fn verify_pinned(
+    /// The verification engine behind [`Self::verify`] and the session
+    /// and stream facades. With `pinned` the caller vouches it already
+    /// RSA-verified that exact signed root (once, at session open):
+    /// the answer's root must then be byte-identical — an answer signed
+    /// for a *different* epoch is rejected — and the signature check is
+    /// skipped. `pins` extends the same treatment to the method's
+    /// auxiliary signed roots (FULL distance tree, HYP hyper-edge and
+    /// cell-directory trees). All Merkle reconstructions still run.
+    pub(crate) fn verify_batch_impl(
         &self,
-        vs: NodeId,
-        vt: NodeId,
-        answer: &Answer,
-        pinned: &SignedRoot,
-        pins: Option<&PinnedAux>,
-    ) -> Result<Verified, VerifyError> {
-        self.verify_impl(vs, vt, answer, Some(pinned), pins)
-    }
-
-    fn verify_impl(
-        &self,
-        vs: NodeId,
-        vt: NodeId,
-        answer: &Answer,
+        queries: &[(NodeId, NodeId)],
+        batch: &BatchAnswer,
         pinned: Option<&SignedRoot>,
         pins: Option<&PinnedAux>,
-    ) -> Result<Verified, VerifyError> {
-        // --- ΓT: authenticate every shipped tuple. ---------------------
-        match pinned {
-            Some(root) => {
-                if answer.integrity.signed_root != *root {
-                    return Err(VerifyError::MetaMismatch(
-                        "signed root differs from pinned session root",
-                    ));
-                }
-            }
-            None => {
-                if !answer.integrity.signed_root.verify(&self.public_key) {
-                    return Err(VerifyError::BadSignature);
-                }
-            }
-        }
-        let params = MethodParams::decode(&answer.integrity.signed_root.meta.params)
-            .map_err(|_| VerifyError::MetaMismatch("undecodable method params"))?;
-        // Signed method code must match the proof's shape — prevents a
-        // malicious provider from downgrading the verification method.
-        let method = params.method();
-        if !method.matches_proof(&answer.sp) {
-            return Err(VerifyError::MetaMismatch(
-                "proof shape does not match signed method",
-            ));
-        }
-        let tuples = self.verify_integrity(&answer.integrity, &answer.sp)?;
-
-        // --- ΓS: recompute the optimum (trait-dispatched). -------------
-        let ctx = VerifyCtx {
-            pk: &self.public_key,
-            pins,
-        };
-        let proven = method.verify(&ctx, &params, &answer.sp, &tuples, vs, vt)?;
-
-        // --- P_rslt: authenticate the reported path itself. ------------
-        check_reported_path(&tuples, vs, vt, &answer.path, proven)?;
-        Ok(Verified { distance: proven })
+    ) -> Result<Vec<f64>, VerifyError> {
+        self.verify_batch_with_state(queries, batch, pinned, pins, &BatchVerifyState::default())
     }
 
-    /// Reconstructs the network root from all shipped tuples and the ΓT
-    /// cover digests; returns the authenticated tuple map.
-    fn verify_integrity<'a>(
+    /// [`Self::verify_batch_impl`] with a caller-owned
+    /// [`BatchVerifyState`], so tests can observe the per-batch caches
+    /// and sweep counters after verification.
+    pub(crate) fn verify_batch_with_state(
         &self,
-        integrity: &IntegrityProof,
-        sp: &'a SpProof,
-    ) -> Result<HashMap<NodeId, &'a ExtendedTuple>, VerifyError> {
-        let all: Vec<&ExtendedTuple> = sp
-            .tuples()
-            .iter()
-            .chain(sp.extra_tuples().iter())
-            .map(|t| &**t)
-            .collect();
-        if all.len() != integrity.positions.len() {
+        queries: &[(NodeId, NodeId)],
+        batch: &BatchAnswer,
+        pinned: Option<&SignedRoot>,
+        pins: Option<&PinnedAux>,
+        state: &BatchVerifyState,
+    ) -> Result<Vec<f64>, VerifyError> {
+        if queries.len() != batch.queries.len() {
             return Err(VerifyError::MalformedIntegrityProof(format!(
-                "{} tuples but {} positions",
-                all.len(),
-                integrity.positions.len()
+                "{} queries but {} proofs",
+                queries.len(),
+                batch.queries.len()
             )));
         }
-        let leaves: Vec<(usize, Digest)> = all
+        // ΓT: authenticate the pool once.
+        let params = self.authenticate_pool(&batch.integrity, &batch.pool, pinned)?;
+        // Method aux: authenticate the pooled hint proofs once.
+        let method = params.method();
+        let vctx = VerifyCtx {
+            pk: self.public_key(),
+            pins,
+        };
+        let ctx = method.verify_batch_aux(&vctx, &params, &batch.aux)?;
+        method.prepare_batch_verify(&params, queries, batch, state);
+        // Per query: build the member map and re-run the verification —
+        // one independent job per query, fanned out over threads.
+        let outcomes = map_jobs_indexed(queries, |qi, &(vs, vt)| -> Result<f64, VerifyError> {
+            let q = &batch.queries[qi];
+            let mut map: HashMap<NodeId, &ExtendedTuple> = HashMap::with_capacity(q.members.len());
+            for &i in &q.members {
+                let t = batch
+                    .pool
+                    .get(i as usize)
+                    .ok_or(VerifyError::MalformedIntegrityProof(
+                        "member index out of pool".into(),
+                    ))?;
+                map.insert(t.id, &**t);
+            }
+            let proven = method.verify_batch_query(&params, &ctx, state, &map, vs, vt)?;
+            // Path checks against the authenticated pool.
+            check_reported_path(&map, vs, vt, &q.path, proven)?;
+            Ok(proven)
+        });
+        outcomes.into_iter().collect()
+    }
+
+    /// ΓT, shared by point and range answers: checks the signed network
+    /// root (against `pinned` by byte equality, else by RSA), then
+    /// reconstructs it from every pooled tuple and the cover digests.
+    /// Returns the method parameters the root's metadata signs.
+    pub(crate) fn authenticate_pool(
+        &self,
+        integrity: &IntegrityProof,
+        pool: &[Arc<ExtendedTuple>],
+        pinned: Option<&SignedRoot>,
+    ) -> Result<MethodParams, VerifyError> {
+        match pinned {
+            Some(root) if integrity.signed_root != *root => {
+                return Err(VerifyError::MetaMismatch(
+                    "signed root differs from pinned session root",
+                ));
+            }
+            Some(_) => {}
+            None if !integrity.signed_root.verify(&self.public_key) => {
+                return Err(VerifyError::BadSignature);
+            }
+            None => {}
+        }
+        let params = MethodParams::decode(&integrity.signed_root.meta.params)
+            .map_err(|_| VerifyError::MetaMismatch("undecodable method params"))?;
+        if pool.len() != integrity.positions.len() {
+            return Err(VerifyError::MalformedIntegrityProof(
+                "positions do not match pool".into(),
+            ));
+        }
+        let leaves: Vec<(usize, Digest)> = pool
             .iter()
             .zip(&integrity.positions)
             .map(|(t, &p)| (p as usize, t.digest()))
@@ -151,18 +166,18 @@ impl Client {
         if root != integrity.signed_root.root {
             return Err(VerifyError::RootMismatch);
         }
-        let mut map = HashMap::with_capacity(all.len());
-        for t in all {
-            map.insert(t.id, t);
-        }
-        Ok(map)
+        Ok(params)
     }
 }
 
 /// Checks a reported path `P_rslt` against authenticated tuples and a
 /// proven optimum: endpoints, edge existence, summed weight vs both
-/// the claimed distance and the optimum. Shared by the single-query
-/// and batched verification paths.
+/// the claimed distance and the optimum.
+///
+/// The sum may differ from the optimum only by the rounding its own
+/// `hops` additions can introduce (`hops · ε · proven`), so a detour
+/// longer than the optimum by any representable margin beyond that is
+/// rejected as [`VerifyError::NotShortest`].
 pub(crate) fn check_reported_path(
     tuples: &HashMap<NodeId, &ExtendedTuple>,
     vs: NodeId,
@@ -192,7 +207,8 @@ pub(crate) fn check_reported_path(
             recomputed: sum,
         });
     }
-    if !close(sum, proven) {
+    let hops = path.nodes.len().saturating_sub(1) as f64;
+    if (sum - proven).abs() > hops * f64::EPSILON * proven {
         return Err(VerifyError::NotShortest {
             reported: sum,
             proven,
@@ -218,13 +234,13 @@ mod tests {
         let provider = ServiceProvider::new(p.package);
         let client = Client::new(p.public_key);
         for &(s, t) in queries {
-            let (s, t) = (NodeId(s), NodeId(t));
-            let answer = provider.answer(s, t).unwrap();
-            let v = client
-                .verify(s, t, &answer)
-                .unwrap_or_else(|e| panic!("{}: ({s},{t}) rejected: {e}", method.name()));
+            let q = [(NodeId(s), NodeId(t))];
+            let answer = provider.answer(&q).unwrap();
+            let d = client
+                .verify(&q, &answer)
+                .unwrap_or_else(|e| panic!("{}: ({s},{t}) rejected: {e}", method.name()))[0];
             assert!(
-                close(v.distance, answer.path.distance),
+                close(d, answer.queries[0].path.distance),
                 "{}: distance mismatch",
                 method.name()
             );
@@ -270,15 +286,13 @@ mod tests {
         let mut rng = StdRng::seed_from_u64(903);
         let p = DataOwner::publish(&g, &MethodConfig::Dij, &SetupConfig::default(), &mut rng);
         let provider = ServiceProvider::new(p.package);
-        let answer = provider.answer(NodeId(0), NodeId(35)).unwrap();
+        let q = [(NodeId(0), NodeId(35))];
+        let answer = provider.answer(&q).unwrap();
         // A client trusting a different owner.
         let mut rng2 = StdRng::seed_from_u64(904);
         let other = spnet_crypto::rsa::RsaKeyPair::generate(&mut rng2, 256);
         let client = Client::new(other.public_key().clone());
-        assert_eq!(
-            client.verify(NodeId(0), NodeId(35), &answer),
-            Err(VerifyError::BadSignature)
-        );
+        assert_eq!(client.verify(&q, &answer), Err(VerifyError::BadSignature));
     }
 
     #[test]
@@ -288,9 +302,9 @@ mod tests {
         let p = DataOwner::publish(&g, &MethodConfig::Dij, &SetupConfig::default(), &mut rng);
         let provider = ServiceProvider::new(p.package);
         let client = Client::new(p.public_key);
-        let answer = provider.answer(NodeId(0), NodeId(35)).unwrap();
+        let answer = provider.answer(&[(NodeId(0), NodeId(35))]).unwrap();
         // Replaying the answer for a different query.
-        let err = client.verify(NodeId(0), NodeId(34), &answer);
+        let err = client.verify(&[(NodeId(0), NodeId(34))], &answer);
         assert!(err.is_err());
     }
 }

@@ -21,7 +21,7 @@
 //!
 //! The [`service::SpService`] facade is the front door: a session
 //! authenticates the published epoch once, then serves verified
-//! answers — one at a time, batched, or streamed.
+//! answers — batched (a single query is a batch of one) or streamed.
 //!
 //! ```
 //! use spnet_core::prelude::*;
@@ -37,13 +37,13 @@
 //! let published = DataOwner::publish(&graph, &MethodConfig::Dij, &cfg, &mut rng);
 //!
 //! // The (untrusted) provider serves through the session facade.
-//! let service = SpService::new(published.package);
+//! let service = SpService::builder().package(published.package).build();
 //! let session = service
 //!     .open_session(Client::new(published.public_key))
 //!     .expect("signed epoch authenticates");
 //!
-//! // Single verified query…
-//! let answer = session.query(NodeId(0), NodeId(63)).unwrap();
+//! // A single verified query (a batch of one)…
+//! let answer = session.query_batch(&[(NodeId(0), NodeId(63))]).unwrap().remove(0);
 //! assert!(answer.distance > 0.0);
 //!
 //! // …and a streamed batch, verified chunk by chunk.
@@ -59,8 +59,11 @@
 //! ```
 //!
 //! The lower-level role APIs ([`DataOwner`], [`ServiceProvider`],
-//! [`Client`]) remain available; all of them — and the facade — serve
-//! every method through its [`methods::AuthMethod`] trait object.
+//! [`Client`]) remain available: [`ServiceProvider::answer`] proves a
+//! slice of queries as one [`BatchAnswer`] and [`Client::verify`]
+//! checks it. All of them — and the facade — serve every method
+//! through its [`methods::AuthMethod`] trait object, along one proof
+//! path.
 
 pub mod ads;
 pub mod batch;
@@ -88,12 +91,13 @@ pub const PARALLEL_ENABLED: bool = cfg!(feature = "parallel");
 
 /// Convenient re-exports for typical use.
 pub mod prelude {
-    pub use crate::client::{Client, Verified};
+    pub use crate::batch::BatchAnswer;
+    pub use crate::client::Client;
     pub use crate::error::VerifyError;
     pub use crate::methods::{AuthMethod, LdmConfig, MethodConfig, PinnedAux, VerifyCtx};
     pub use crate::owner::{DataOwner, Published, SetupConfig};
     pub use crate::par::Scheduler;
-    pub use crate::proof::{Answer, ProofStats};
+    pub use crate::proof::ProofStats;
     pub use crate::provider::ServiceProvider;
     pub use crate::queries::RangeAnswer;
     pub use crate::service::{

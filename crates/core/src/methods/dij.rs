@@ -9,7 +9,6 @@ use crate::batch::{AuxContext, BatchAux, BatchVerifyState};
 use crate::error::{ProviderError, VerifyError};
 use crate::methods::{AuthMethod, MethodConfig, MethodParams, TupleMap, VerifyCtx};
 use crate::owner::{MethodHints, ProviderPackage, SetupConfig};
-use crate::proof::SpProof;
 use crate::tuple::ExtendedTuple;
 use spnet_crypto::rsa::RsaKeyPair;
 use spnet_graph::ofloat::OrderedF64;
@@ -17,7 +16,6 @@ use spnet_graph::search::with_thread_workspace;
 use spnet_graph::{Graph, NodeId, Path};
 use std::cmp::Reverse;
 use std::collections::{BinaryHeap, HashMap};
-use std::sync::Arc;
 
 /// DIJ's [`AuthMethod`] implementation: no pre-computed hints, the
 /// Lemma 1 ball as ΓS, client-side subgraph Dijkstra as verification.
@@ -64,19 +62,6 @@ impl AuthMethod for DijMethod {
         Ok(MethodHints::Dij)
     }
 
-    fn prove(
-        &self,
-        pkg: &ProviderPackage,
-        vs: NodeId,
-        _vt: NodeId,
-        path: &Path,
-    ) -> Result<(SpProof, Vec<NodeId>), ProviderError> {
-        let nodes = gamma_nodes(&pkg.graph, vs, path.distance);
-        let tuples: Vec<Arc<ExtendedTuple>> =
-            nodes.iter().map(|&v| pkg.ads.tuple_shared(v)).collect();
-        Ok((SpProof::Subgraph { tuples }, nodes))
-    }
-
     fn batch_members(
         &self,
         pkg: &ProviderPackage,
@@ -94,22 +79,6 @@ impl AuthMethod for DijMethod {
     ) -> Result<BatchAux, ProviderError> {
         // The pooled subgraph tuples are the whole ΓS.
         Ok(BatchAux::Subgraph)
-    }
-
-    fn matches_proof(&self, sp: &SpProof) -> bool {
-        matches!(sp, SpProof::Subgraph { .. })
-    }
-
-    fn verify(
-        &self,
-        _ctx: &VerifyCtx<'_>,
-        _params: &MethodParams,
-        _sp: &SpProof,
-        tuples: &TupleMap<'_>,
-        vs: NodeId,
-        vt: NodeId,
-    ) -> Result<f64, VerifyError> {
-        verify_subgraph_dijkstra(tuples, vs, vt)
     }
 
     fn verify_batch_aux<'a>(

@@ -23,7 +23,6 @@ use crate::enc::{Decoder, Encoder};
 use crate::error::{ProviderError, VerifyError};
 use crate::methods::{AuthMethod, MethodConfig, MethodParams, TupleMap, VerifyCtx};
 use crate::owner::{MethodHints, ProviderPackage, SetupConfig};
-use crate::proof::SpProof;
 use crate::snapshot::{self, SnapshotError};
 use crate::tuple::ExtendedTuple;
 use spnet_crypto::digest::{Digest, DIGEST_LEN};
@@ -220,30 +219,6 @@ impl DistanceAds {
         fresh
     }
 
-    /// Provider side: assembles the distance proof for `(vs, vt)`.
-    ///
-    /// Regenerates row `vs` with one Dijkstra (the materialized values
-    /// are a deterministic function of the owner's graph, which the
-    /// provider holds) unless the hot-source LRU still holds it.
-    pub fn prove(&self, g: &Graph, vs: NodeId, vt: NodeId) -> FullDistanceProof {
-        let row = self.cached_row(g, vs);
-        let row_proof = row
-            .tree
-            .prove([vt.index()].into_iter().collect())
-            .expect("row proof");
-        let top_proof = self
-            .top
-            .prove([vs.index()].into_iter().collect())
-            .expect("top proof");
-        FullDistanceProof {
-            entry: entry(vs.0, vt.0, row.values[vt.index()]),
-            row_index: vt.0,
-            row_proof,
-            top_index: vs.0,
-            top_proof,
-        }
-    }
-
     /// Provider side, batched: one pooled proof for all `pairs`.
     ///
     /// Queries are grouped by source row, so a row is regenerated (one
@@ -356,54 +331,6 @@ fn entry(s: u32, t: u32, d: f64) -> KeyedEntry {
     KeyedEntry {
         key: composite_key(s, t),
         value: d,
-    }
-}
-
-/// The FULL distance proof: one materialized tuple plus its two-level
-/// Merkle path.
-#[derive(Debug, Clone, PartialEq)]
-pub struct FullDistanceProof {
-    /// The tuple `⟨vs.id, vt.id, dist(vs, vt)⟩`.
-    pub entry: KeyedEntry,
-    /// Leaf index of `vt` in the row tree.
-    pub row_index: u32,
-    /// Row-tree cover digests.
-    pub row_proof: MerkleProof,
-    /// Leaf index of `vs` in the top tree.
-    pub top_index: u32,
-    /// Top-tree cover digests.
-    pub top_proof: MerkleProof,
-}
-
-impl FullDistanceProof {
-    /// Number of digest items (the paper's S-prf count for FULL).
-    pub fn num_items(&self) -> usize {
-        1 + self.row_proof.num_items() + self.top_proof.num_items()
-    }
-
-    /// Serialized size in bytes.
-    pub fn size_bytes(&self) -> usize {
-        16 + 4 + 4 + self.row_proof.size_bytes() + self.top_proof.size_bytes()
-    }
-
-    /// Client side: checks the proof against the signed distance root
-    /// and returns the authenticated `dist(vs, vt)`.
-    pub fn verify(&self, vs: NodeId, vt: NodeId, signed_root: &Digest) -> Result<f64, VerifyError> {
-        if self.entry.key != composite_key(vs.0, vt.0) {
-            return Err(VerifyError::MissingDistanceKey { a: vs, b: vt });
-        }
-        let row_root = self
-            .row_proof
-            .reconstruct_root(&[(self.row_index as usize, self.entry.digest())])
-            .map_err(|e| VerifyError::MalformedIntegrityProof(e.to_string()))?;
-        let top_root = self
-            .top_proof
-            .reconstruct_root(&[(self.top_index as usize, row_root)])
-            .map_err(|e| VerifyError::MalformedIntegrityProof(e.to_string()))?;
-        if top_root != *signed_root {
-            return Err(VerifyError::RootMismatch);
-        }
-        Ok(self.entry.value)
     }
 }
 
@@ -699,30 +626,6 @@ impl AuthMethod for FullMethod {
         })
     }
 
-    fn prove(
-        &self,
-        pkg: &ProviderPackage,
-        vs: NodeId,
-        vt: NodeId,
-        path: &Path,
-    ) -> Result<(SpProof, Vec<NodeId>), ProviderError> {
-        let (dads, signed_root) = Self::hints(pkg);
-        let full = dads.prove(&pkg.graph, vs, vt);
-        let path_tuples: Vec<Arc<ExtendedTuple>> = path
-            .nodes
-            .iter()
-            .map(|&v| pkg.ads.tuple_shared(v))
-            .collect();
-        Ok((
-            SpProof::Distance {
-                full,
-                signed_root: signed_root.clone(),
-                path_tuples,
-            },
-            path.nodes.clone(),
-        ))
-    }
-
     fn batch_members(
         &self,
         _pkg: &ProviderPackage,
@@ -745,35 +648,6 @@ impl AuthMethod for FullMethod {
             proof: dads.prove_batch(&pkg.graph, queries),
             signed_root: signed_root.clone(),
         })
-    }
-
-    fn matches_proof(&self, sp: &SpProof) -> bool {
-        matches!(sp, SpProof::Distance { .. })
-    }
-
-    fn verify(
-        &self,
-        ctx: &VerifyCtx<'_>,
-        _params: &MethodParams,
-        sp: &SpProof,
-        _tuples: &TupleMap<'_>,
-        vs: NodeId,
-        vt: NodeId,
-    ) -> Result<f64, VerifyError> {
-        let SpProof::Distance {
-            full, signed_root, ..
-        } = sp
-        else {
-            return Err(VerifyError::MetaMismatch(
-                "proof shape does not match method",
-            ));
-        };
-        // A root pinned at session open was RSA-verified there; byte
-        // equality replaces the signature check.
-        if !ctx.trusts(signed_root) && !signed_root.verify(ctx.pk) {
-            return Err(VerifyError::BadSignature);
-        }
-        full.verify(vs, vt, &signed_root.root)
     }
 
     fn verify_batch_aux<'a>(
@@ -869,6 +743,25 @@ mod tests {
         (g, ads)
     }
 
+    /// The distance proof of a batch of one.
+    fn prove_one(ads: &DistanceAds, g: &Graph, s: NodeId, t: NodeId) -> FullBatchProof {
+        ads.prove_batch(g, &[(s, t)])
+    }
+
+    /// What the client derives from `proof` for query `(s, t)`.
+    fn verify_one(
+        proof: &FullBatchProof,
+        s: NodeId,
+        t: NodeId,
+        root: &Digest,
+    ) -> Result<f64, VerifyError> {
+        proof
+            .verify(root)?
+            .get(&composite_key(s.0, t.0))
+            .copied()
+            .ok_or(VerifyError::MissingDistanceKey { a: s, b: t })
+    }
+
     #[test]
     fn floyd_warshall_and_dijkstra_builds_agree_semantically() {
         // Summation order differs between the two algorithms, so the
@@ -879,8 +772,8 @@ mod tests {
         let (_, a2) = build(400, false);
         for (s, t) in [(0u32, 48u32), (5, 17)] {
             let (s, t) = (NodeId(s), NodeId(t));
-            let d1 = a1.prove(&g, s, t).verify(s, t, &a1.root()).unwrap();
-            let d2 = a2.prove(&g, s, t).verify(s, t, &a2.root()).unwrap();
+            let d1 = verify_one(&prove_one(&a1, &g, s, t), s, t, &a1.root()).unwrap();
+            let d2 = verify_one(&prove_one(&a2, &g, s, t), s, t, &a2.root()).unwrap();
             assert!((d1 - d2).abs() <= 1e-9 * d1.max(1.0));
         }
     }
@@ -891,8 +784,7 @@ mod tests {
         let root = ads.root();
         for (s, t) in [(0u32, 48u32), (3, 40), (48, 0), (7, 7)] {
             let (s, t) = (NodeId(s), NodeId(t));
-            let proof = ads.prove(&g, s, t);
-            let d = proof.verify(s, t, &root).unwrap();
+            let d = verify_one(&prove_one(&ads, &g, s, t), s, t, &root).unwrap();
             let expected = if s == t {
                 0.0
             } else {
@@ -906,10 +798,10 @@ mod tests {
     fn forged_distance_detected() {
         let (g, ads) = build(402, false);
         let (s, t) = (NodeId(0), NodeId(30));
-        let mut proof = ads.prove(&g, s, t);
-        proof.entry.value *= 2.0;
+        let mut proof = prove_one(&ads, &g, s, t);
+        proof.rows[0].entries[0].value *= 2.0;
         assert_eq!(
-            proof.verify(s, t, &ads.root()),
+            verify_one(&proof, s, t, &ads.root()),
             Err(VerifyError::RootMismatch)
         );
     }
@@ -917,10 +809,10 @@ mod tests {
     #[test]
     fn wrong_pair_detected() {
         let (g, ads) = build(403, false);
-        let proof = ads.prove(&g, NodeId(0), NodeId(30));
+        let proof = prove_one(&ads, &g, NodeId(0), NodeId(30));
         // Presenting the proof for a different query pair.
         assert!(matches!(
-            proof.verify(NodeId(0), NodeId(31), &ads.root()),
+            verify_one(&proof, NodeId(0), NodeId(31), &ads.root()),
             Err(VerifyError::MissingDistanceKey { .. })
         ));
     }
@@ -929,9 +821,11 @@ mod tests {
     fn moved_indices_detected() {
         let (g, ads) = build(404, false);
         let (s, t) = (NodeId(2), NodeId(9));
-        let mut proof = ads.prove(&g, s, t);
-        proof.row_index += 1;
-        let r = proof.verify(s, t, &ads.root());
+        // Move the entry to the next row: its top-tree position shifts.
+        let mut proof = prove_one(&ads, &g, s, t);
+        proof.rows[0].source += 1;
+        proof.rows[0].entries[0].key = composite_key(s.0 + 1, t.0);
+        let r = verify_one(&proof, NodeId(s.0 + 1), t, &ads.root());
         assert!(
             r == Err(VerifyError::RootMismatch)
                 || matches!(r, Err(VerifyError::MalformedIntegrityProof(_)))
@@ -942,7 +836,7 @@ mod tests {
     fn proof_size_logarithmic() {
         let g = grid_network(16, 16, 1.1, 405);
         let (ads, _) = DistanceAds::build(&g, 4, false);
-        let proof = ads.prove(&g, NodeId(0), NodeId(255));
+        let proof = prove_one(&ads, &g, NodeId(0), NodeId(255));
         // Two trees of 256 leaves at fanout 4: 4 levels each, ≤ 3 cover
         // digests per level.
         assert!(proof.num_items() <= 1 + 2 * 4 * 3 + 2);
@@ -973,7 +867,7 @@ mod tests {
         let batch = ads.prove_batch(&g, &pairs);
         let proven = batch.verify(&ads.root()).unwrap();
         for &(s, t) in &pairs {
-            let single = ads.prove(&g, s, t).verify(s, t, &ads.root()).unwrap();
+            let single = verify_one(&prove_one(&ads, &g, s, t), s, t, &ads.root()).unwrap();
             let batched = proven[&composite_key(s.0, t.0)];
             assert_eq!(batched.to_bits(), single.to_bits(), "({s},{t})");
         }
@@ -988,7 +882,7 @@ mod tests {
         let batch = ads.prove_batch(&g, &pairs);
         let singles: usize = pairs
             .iter()
-            .map(|&(s, t)| ads.prove(&g, s, t).size_bytes())
+            .map(|&(s, t)| prove_one(&ads, &g, s, t).size_bytes())
             .sum();
         assert!(
             batch.size_bytes() < singles,
@@ -1037,12 +931,12 @@ mod tests {
     fn row_cache_reuses_hot_sources_across_proofs() {
         let (g, ads) = build(412, false);
         assert_eq!(ads.row_cache.len(), 0);
-        let p1 = ads.prove(&g, NodeId(0), NodeId(30));
+        let p1 = prove_one(&ads, &g, NodeId(0), NodeId(30));
         assert_eq!(ads.row_cache.len(), 1, "first proof fills the cache");
-        let p2 = ads.prove(&g, NodeId(0), NodeId(31));
+        let p2 = prove_one(&ads, &g, NodeId(0), NodeId(31));
         assert_eq!(ads.row_cache.len(), 1, "same source hits, not refills");
-        assert!(p1.verify(NodeId(0), NodeId(30), &ads.root()).is_ok());
-        assert!(p2.verify(NodeId(0), NodeId(31), &ads.root()).is_ok());
+        assert!(verify_one(&p1, NodeId(0), NodeId(30), &ads.root()).is_ok());
+        assert!(verify_one(&p2, NodeId(0), NodeId(31), &ads.root()).is_ok());
         // Batches reuse rows across calls and stay byte-identical.
         let pairs = batch_pairs();
         let b1 = ads.prove_batch(&g, &pairs);

@@ -26,7 +26,6 @@ use crate::enc::{Decoder, Encoder};
 use crate::error::{ProviderError, VerifyError};
 use crate::methods::{AuthMethod, MethodConfig, MethodParams, TupleMap, VerifyCtx};
 use crate::owner::{MethodHints, ProviderPackage, SetupConfig};
-use crate::proof::SpProof;
 use crate::snapshot::{self, SnapshotError};
 use crate::tuple::ExtendedTuple;
 use spnet_crypto::mbtree::{composite_key, KeyedEntry, KeyedProof, MbTreeError, MerkleBTree};
@@ -228,13 +227,6 @@ impl HypHints {
         nodes
     }
 
-    /// Provider side: the hyper-edge keys the proof must carry — every
-    /// pair between the source-cell border set and the target-cell
-    /// border set (all pairs within the cell when `cs == ct`).
-    pub fn hyper_keys(&self, vs: NodeId, vt: NodeId) -> Vec<u64> {
-        self.batch_hyper_keys(&[(vs, vt)])
-    }
-
     /// Provider side, batched: the deduplicated union of hyper-edge
     /// keys over all queries. Queries sharing a cell pair contribute
     /// the same keys once, so each touched cell's border-distance
@@ -275,45 +267,6 @@ impl HypHints {
     }
 }
 
-/// Client side: authenticates the two HYP auxiliary structures —
-/// owner signatures and Merkle roots — ahead of `verify_hyp_impl`.
-/// Shared by the single-query and batched verification paths so the
-/// authentication rules cannot drift between them. Roots pinned at
-/// session open (already RSA-verified there) are accepted by byte
-/// equality; the Merkle reconstructions below always run.
-pub(crate) fn verify_hyp_aux(
-    ctx: &VerifyCtx<'_>,
-    hyper: &KeyedProof,
-    hyper_signed_root: &SignedRoot,
-    cell_dir: &KeyedProof,
-    cell_dir_signed_root: &SignedRoot,
-) -> Result<(), VerifyError> {
-    if !ctx.trusts(hyper_signed_root) && !hyper_signed_root.verify(ctx.pk) {
-        return Err(VerifyError::BadSignature);
-    }
-    if !ctx.trusts(cell_dir_signed_root) && !cell_dir_signed_root.verify(ctx.pk) {
-        return Err(VerifyError::BadSignature);
-    }
-    // An empty hyper proof is acceptable only when the touched cells
-    // are border-free: verify_hyp fails on the first needed pair
-    // otherwise, so no explicit check is required here.
-    if !hyper.entries.is_empty() {
-        let root = hyper
-            .reconstruct_root()
-            .map_err(|e| VerifyError::MalformedIntegrityProof(e.to_string()))?;
-        if root != hyper_signed_root.root {
-            return Err(VerifyError::RootMismatch);
-        }
-    }
-    let dir_root = cell_dir
-        .reconstruct_root()
-        .map_err(|e| VerifyError::MalformedIntegrityProof(e.to_string()))?;
-    if dir_root != cell_dir_signed_root.root {
-        return Err(VerifyError::RootMismatch);
-    }
-    Ok(())
-}
-
 /// Client side: verifies the HYP ΓS and returns the proven optimum,
 /// with optional per-batch state: queries of one batch
 /// that touch the same cell share one authenticated cell subgraph
@@ -321,7 +274,8 @@ pub(crate) fn verify_hyp_aux(
 /// rows come out of **one multi-source sweep per touched cell**
 /// (planned in [`HypMethod::prepare_batch_verify`]) instead of one
 /// Dijkstra per endpoint. Both accelerations are bit-transparent: the
-/// proven optimum equals the stateless single-query verification's.
+/// proven optimum equals the stateless (`state = None`) verification's,
+/// whose in-cell distances come from solo Dijkstras.
 pub(crate) fn verify_hyp_impl(
     tuples: &HashMap<NodeId, &ExtendedTuple>,
     hyper: &KeyedProof,
@@ -734,22 +688,6 @@ impl HypMethod {
             _ => unreachable!("HypMethod dispatched with non-HYP hints"),
         }
     }
-
-    /// Coarse cells plus reported-path nodes outside them — the node
-    /// set both the single-query proof and a batched query ship.
-    fn covered_nodes(hints: &HypHints, vs: NodeId, vt: NodeId, path: &Path) -> Vec<NodeId> {
-        let coarse = hints.coarse_nodes(vs, vt);
-        let coarse_set: BTreeSet<NodeId> = coarse.iter().copied().collect();
-        coarse
-            .into_iter()
-            .chain(
-                path.nodes
-                    .iter()
-                    .copied()
-                    .filter(|v| !coarse_set.contains(v)),
-            )
-            .collect()
-    }
 }
 
 impl AuthMethod for HypMethod {
@@ -972,51 +910,6 @@ impl AuthMethod for HypMethod {
         })
     }
 
-    fn prove(
-        &self,
-        pkg: &ProviderPackage,
-        vs: NodeId,
-        vt: NodeId,
-        path: &Path,
-    ) -> Result<(SpProof, Vec<NodeId>), ProviderError> {
-        let (hints, hyper_signed, cell_dir_signed) = Self::hints(pkg);
-        let coarse = hints.coarse_nodes(vs, vt);
-        let coarse_set: BTreeSet<NodeId> = coarse.iter().copied().collect();
-        let extra: Vec<NodeId> = path
-            .nodes
-            .iter()
-            .copied()
-            .filter(|v| !coarse_set.contains(v))
-            .collect();
-        let cell_tuples: Vec<Arc<ExtendedTuple>> =
-            coarse.iter().map(|&v| pkg.ads.tuple_shared(v)).collect();
-        let path_tuples: Vec<Arc<ExtendedTuple>> =
-            extra.iter().map(|&v| pkg.ads.tuple_shared(v)).collect();
-        let keys = hints.hyper_keys(vs, vt);
-        let hyper = match &hints.hyper_tree {
-            Some(t) => t
-                .prove_keys(&keys)
-                .map_err(|e| ProviderError::ProofAssembly(e.to_string()))?,
-            None => empty_keyed_proof(pkg.ads.fanout() as u32),
-        };
-        let cell_dir = hints
-            .cell_dir
-            .prove_keys(&hints.batch_dir_keys(&[(vs, vt)]))
-            .map_err(|e| ProviderError::ProofAssembly(e.to_string()))?;
-        let covered: Vec<NodeId> = coarse.into_iter().chain(extra).collect();
-        Ok((
-            SpProof::Hyp {
-                cell_tuples,
-                path_tuples,
-                hyper,
-                hyper_signed_root: hyper_signed.clone(),
-                cell_dir,
-                cell_dir_signed_root: cell_dir_signed.clone(),
-            },
-            covered,
-        ))
-    }
-
     fn batch_members(
         &self,
         pkg: &ProviderPackage,
@@ -1024,8 +917,12 @@ impl AuthMethod for HypMethod {
         vt: NodeId,
         path: &Path,
     ) -> Vec<NodeId> {
+        // The complete source and target cells plus the reported path
+        // (the provider sorts and dedups).
         let (hints, _, _) = Self::hints(pkg);
-        Self::covered_nodes(hints, vs, vt, path)
+        let mut nodes = hints.coarse_nodes(vs, vt);
+        nodes.extend_from_slice(&path.nodes);
+        nodes
     }
 
     fn prove_batch(
@@ -1053,42 +950,6 @@ impl AuthMethod for HypMethod {
         })
     }
 
-    fn matches_proof(&self, sp: &SpProof) -> bool {
-        matches!(sp, SpProof::Hyp { .. })
-    }
-
-    fn verify(
-        &self,
-        ctx: &VerifyCtx<'_>,
-        _params: &MethodParams,
-        sp: &SpProof,
-        tuples: &TupleMap<'_>,
-        vs: NodeId,
-        vt: NodeId,
-    ) -> Result<f64, VerifyError> {
-        let SpProof::Hyp {
-            hyper,
-            hyper_signed_root,
-            cell_dir,
-            cell_dir_signed_root,
-            ..
-        } = sp
-        else {
-            return Err(VerifyError::MetaMismatch(
-                "proof shape does not match method",
-            ));
-        };
-        // Authenticate both auxiliary structures first.
-        verify_hyp_aux(
-            ctx,
-            hyper,
-            hyper_signed_root,
-            cell_dir,
-            cell_dir_signed_root,
-        )?;
-        verify_hyp_impl(tuples, hyper, cell_dir, vs, vt, None)
-    }
-
     fn verify_batch_aux<'a>(
         &self,
         ctx: &VerifyCtx<'_>,
@@ -1102,13 +963,31 @@ impl AuthMethod for HypMethod {
                 cell_dir,
                 cell_dir_signed_root,
             } => {
-                verify_hyp_aux(
-                    ctx,
-                    hyper,
-                    hyper_signed_root,
-                    cell_dir,
-                    cell_dir_signed_root,
-                )?;
+                // Roots pinned at session open (already RSA-verified
+                // there) are accepted by byte equality; the Merkle
+                // reconstructions below always run.
+                for root in [hyper_signed_root, cell_dir_signed_root] {
+                    if !ctx.trusts(root) && !root.verify(ctx.pk) {
+                        return Err(VerifyError::BadSignature);
+                    }
+                }
+                // An empty hyper proof is acceptable only when the
+                // touched cells are border-free: `verify_hyp_impl` fails
+                // on the first needed pair otherwise.
+                if !hyper.entries.is_empty() {
+                    let root = hyper
+                        .reconstruct_root()
+                        .map_err(|e| VerifyError::MalformedIntegrityProof(e.to_string()))?;
+                    if root != hyper_signed_root.root {
+                        return Err(VerifyError::RootMismatch);
+                    }
+                }
+                let dir_root = cell_dir
+                    .reconstruct_root()
+                    .map_err(|e| VerifyError::MalformedIntegrityProof(e.to_string()))?;
+                if dir_root != cell_dir_signed_root.root {
+                    return Err(VerifyError::RootMismatch);
+                }
                 Ok(AuxContext::Hyp { hyper, cell_dir })
             }
             _ => Err(VerifyError::MetaMismatch(
@@ -1199,7 +1078,7 @@ mod tests {
             .iter()
             .map(|&v| ExtendedTuple::with_cell(g, v, &hints.partition))
             .collect();
-        let keys = hints.hyper_keys(vs, vt);
+        let keys = hints.batch_hyper_keys(&[(vs, vt)]);
         let hyper = match &hints.hyper_tree {
             Some(t) => t.prove_keys(&keys).unwrap(),
             None => panic!("test graphs always have borders"),
@@ -1426,7 +1305,7 @@ mod tests {
         let batch = hints.batch_hyper_keys(&queries);
         let mut union: BTreeSet<u64> = BTreeSet::new();
         for &(s, t) in &queries {
-            union.extend(hints.hyper_keys(s, t));
+            union.extend(hints.batch_hyper_keys(&[(s, t)]));
         }
         assert_eq!(batch, union.into_iter().collect::<Vec<_>>());
         assert!(batch.windows(2).all(|w| w[0] < w[1]), "sorted + distinct");

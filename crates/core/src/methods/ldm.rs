@@ -12,7 +12,6 @@ use crate::enc::{DecodeError, Decoder, Encoder};
 use crate::error::{ProviderError, VerifyError};
 use crate::methods::{AuthMethod, LdmConfig, MethodConfig, MethodParams, TupleMap, VerifyCtx};
 use crate::owner::{MethodHints, ProviderPackage, SetupConfig};
-use crate::proof::SpProof;
 use crate::snapshot::{self, SnapshotError};
 use crate::tuple::{ExtendedTuple, PsiPayload};
 use spnet_crypto::rsa::RsaKeyPair;
@@ -24,7 +23,6 @@ use spnet_graph::ofloat::OrderedF64;
 use spnet_graph::{Graph, NodeId, Path};
 use std::cmp::Reverse;
 use std::collections::{BTreeSet, BinaryHeap, HashMap};
-use std::sync::Arc;
 
 /// LDM's [`AuthMethod`] implementation: compressed quantized landmark
 /// vectors as hints, the Lemma 2 A\* cone as ΓS, client-side A\* with
@@ -287,19 +285,6 @@ impl AuthMethod for LdmMethod {
         }))
     }
 
-    fn prove(
-        &self,
-        pkg: &ProviderPackage,
-        vs: NodeId,
-        vt: NodeId,
-        path: &Path,
-    ) -> Result<(SpProof, Vec<NodeId>), ProviderError> {
-        let nodes = gamma_nodes(&pkg.graph, Self::hints(pkg), vs, vt, path.distance);
-        let tuples: Vec<Arc<ExtendedTuple>> =
-            nodes.iter().map(|&v| pkg.ads.tuple_shared(v)).collect();
-        Ok((SpProof::Subgraph { tuples }, nodes))
-    }
-
     fn batch_members(
         &self,
         pkg: &ProviderPackage,
@@ -316,22 +301,6 @@ impl AuthMethod for LdmMethod {
         _queries: &[(NodeId, NodeId)],
     ) -> Result<BatchAux, ProviderError> {
         Ok(BatchAux::Subgraph)
-    }
-
-    fn matches_proof(&self, sp: &SpProof) -> bool {
-        matches!(sp, SpProof::Subgraph { .. })
-    }
-
-    fn verify(
-        &self,
-        _ctx: &VerifyCtx<'_>,
-        params: &MethodParams,
-        _sp: &SpProof,
-        tuples: &TupleMap<'_>,
-        vs: NodeId,
-        vt: NodeId,
-    ) -> Result<f64, VerifyError> {
-        verify_subgraph_astar(tuples, vs, vt, Self::lambda(params))
     }
 
     fn verify_batch_aux<'a>(

@@ -24,21 +24,20 @@ use crate::batch::{AuxContext, BatchAnswer, BatchAux, BatchVerifyState};
 use crate::enc::{DecodeError, Decoder, Encoder};
 use crate::error::{ProviderError, VerifyError};
 use crate::owner::{MethodHints, ProviderPackage, SetupConfig};
-use crate::proof::SpProof;
 use crate::tuple::ExtendedTuple;
 use spnet_crypto::rsa::{RsaKeyPair, RsaPublicKey};
 use spnet_graph::landmark::{CompressionStrategy, LandmarkStrategy};
 use spnet_graph::{Graph, NodeId, Path};
 use std::collections::HashMap;
 
-/// The authenticated tuples of a proof, keyed by node id — the shape
-/// both the single-query and the batched ΓS verifications consume.
+/// The authenticated tuples of one query's Γ, keyed by node id — the
+/// shape every ΓS verification consumes.
 pub type TupleMap<'a> = HashMap<NodeId, &'a ExtendedTuple>;
 
 /// Auxiliary signed roots a verifier has **already RSA-verified** —
 /// typically once, at [`crate::service::SpService::open_session`].
 ///
-/// FULL ships its signed distance-tree root with every answer/batch,
+/// FULL ships its signed distance-tree root with every answer,
 /// HYP its signed hyper-edge and cell-directory roots; without pinning
 /// each chunk of a stream pays those signature checks again. A method
 /// verification that finds its aux root **byte-identical** to a pinned
@@ -264,19 +263,8 @@ pub trait AuthMethod: Send + Sync {
 
     // ---- provider side -------------------------------------------------
 
-    /// Algorithm 1, lines 2–3: assembles ΓS for one query and returns
-    /// it with the node list ΓT must cover, in the exact order the
-    /// proof ships them.
-    fn prove(
-        &self,
-        pkg: &ProviderPackage,
-        vs: NodeId,
-        vt: NodeId,
-        path: &Path,
-    ) -> Result<(SpProof, Vec<NodeId>), ProviderError>;
-
-    /// The node set one batched query contributes to the shared tuple
-    /// pool (the same Γ the single-query proof would ship).
+    /// Algorithm 1, lines 2–3: the node set Γ one query contributes to
+    /// the answer's tuple pool (any order; the provider sorts it).
     fn batch_members(
         &self,
         pkg: &ProviderPackage,
@@ -294,25 +282,6 @@ pub trait AuthMethod: Send + Sync {
     ) -> Result<BatchAux, ProviderError>;
 
     // ---- client side ---------------------------------------------------
-
-    /// Whether a ΓS payload has the shape this method's verification
-    /// expects — the signed method code must match the proof shape, or
-    /// a malicious provider could downgrade the verification method.
-    fn matches_proof(&self, sp: &SpProof) -> bool;
-
-    /// Verifies ΓS for one query against already integrity-verified
-    /// tuples, returning the proven optimum `dist(vs, vt)`. Aux signed
-    /// roots covered by `ctx`'s pins skip their RSA check (byte
-    /// equality instead); uncovered roots are signature-verified.
-    fn verify(
-        &self,
-        ctx: &VerifyCtx<'_>,
-        params: &MethodParams,
-        sp: &SpProof,
-        tuples: &TupleMap<'_>,
-        vs: NodeId,
-        vt: NodeId,
-    ) -> Result<f64, VerifyError>;
 
     /// Authenticates a batch's pooled hint proofs once (signatures —
     /// unless pinned in `ctx` — plus Merkle roots) and returns the

@@ -1,25 +1,21 @@
-//! Query proofs: the shortest-path proof ΓS and integrity proof ΓT.
+//! Query proofs: the integrity proof ΓT and proof-size accounting.
 //!
 //! Algorithm 1 of the paper returns, for every query, the result path
-//! `P_rslt` plus the pair `(ΓS, ΓT)`. This module defines the concrete
-//! proof payloads for all four methods and the size/item accounting the
-//! experiments report (Figures 8a/8b).
+//! `P_rslt` plus the pair `(ΓS, ΓT)`. Answers ship as
+//! [`BatchAnswer`](crate::batch::BatchAnswer)s — a single query is a
+//! batch of one — whose tuple pool and method aux block form ΓS. This
+//! module defines ΓT and the size/item accounting the experiments
+//! report (Figures 8a/8b).
 
 use crate::ads::SignedRoot;
-use crate::enc::Encoder;
-use crate::methods::full::FullDistanceProof;
-use crate::tuple::ExtendedTuple;
-use spnet_crypto::mbtree::KeyedProof;
 use spnet_crypto::merkle::MerkleProof;
-use spnet_graph::Path;
-use std::sync::Arc;
 
 /// The integrity proof ΓT: Merkle cover digests plus the leaf position
 /// of every tuple shipped in ΓS (positions are bound by reconstruction
 /// — lying about one changes the root).
 #[derive(Debug, Clone, PartialEq)]
 pub struct IntegrityProof {
-    /// Leaf positions, parallel to the tuple list of the ΓS payload.
+    /// Leaf positions, parallel to the answer's tuple pool.
     pub positions: Vec<u32>,
     /// Merkle cover digests per Merkle's rule.
     pub merkle: MerkleProof,
@@ -36,165 +32,6 @@ impl IntegrityProof {
     /// Serialized size in bytes.
     pub fn size_bytes(&self) -> usize {
         self.positions.len() * 4 + self.merkle.size_bytes() + self.signed_root.size_bytes()
-    }
-}
-
-/// The shortest-path proof ΓS, per method.
-///
-/// Tuples are shipped as shared [`Arc`] handles into the provider's
-/// ADS tuple table: assembling a proof bumps reference counts instead
-/// of deep-cloning adjacency lists (the seed cloned every tuple into
-/// every proof). Equality and the wire encoding see through the `Arc`.
-#[derive(Debug, Clone, PartialEq)]
-pub enum SpProof {
-    /// DIJ / LDM: a subgraph proof — the extended tuples of Lemma 1 /
-    /// Lemma 2.
-    Subgraph {
-        /// The tuples, in the order matched by
-        /// [`IntegrityProof::positions`].
-        tuples: Vec<Arc<ExtendedTuple>>,
-    },
-    /// FULL: a distance proof — one materialized tuple with its Merkle
-    /// path in the distance tree.
-    Distance {
-        /// Membership proof of `⟨vs, vt, dist⟩` in the distance ADS.
-        full: FullDistanceProof,
-        /// The owner-signed distance-tree root.
-        signed_root: SignedRoot,
-        /// The path-node tuples whose integrity ΓT proves.
-        path_tuples: Vec<Arc<ExtendedTuple>>,
-    },
-    /// HYP: coarse subgraph proof + hyper-edge distance proof + fine
-    /// path tuples (Section V-B; shipped combined, as the paper notes).
-    Hyp {
-        /// All tuples of the source and target cells.
-        cell_tuples: Vec<Arc<ExtendedTuple>>,
-        /// Tuples of reported-path nodes outside those cells.
-        path_tuples: Vec<Arc<ExtendedTuple>>,
-        /// Membership proof for every (source-border, target-border)
-        /// hyper-edge.
-        hyper: KeyedProof,
-        /// The owner-signed hyper-edge tree root.
-        hyper_signed_root: SignedRoot,
-        /// Membership proof of the two cells' population counts in the
-        /// signed cell directory (completeness of the coarse proof).
-        cell_dir: KeyedProof,
-        /// The owner-signed cell-directory root.
-        cell_dir_signed_root: SignedRoot,
-    },
-}
-
-impl SpProof {
-    /// All tuples shipped in ΓS, in position order (the order the
-    /// integrity proof's `positions` refers to).
-    pub fn tuples(&self) -> &[Arc<ExtendedTuple>] {
-        match self {
-            SpProof::Subgraph { tuples } => tuples,
-            SpProof::Distance { path_tuples, .. } => path_tuples,
-            SpProof::Hyp { cell_tuples, .. } => cell_tuples,
-        }
-    }
-
-    /// Mutable access to the primary tuple list — what shape-generic
-    /// consumers (e.g. the tamper simulator) mutate without matching on
-    /// the method.
-    pub fn tuples_mut(&mut self) -> &mut Vec<Arc<ExtendedTuple>> {
-        match self {
-            SpProof::Subgraph { tuples } => tuples,
-            SpProof::Distance { path_tuples, .. } => path_tuples,
-            SpProof::Hyp { cell_tuples, .. } => cell_tuples,
-        }
-    }
-
-    /// HYP ships two tuple lists; this returns the second (path tuples
-    /// outside the cells), empty for other methods.
-    pub fn extra_tuples(&self) -> &[Arc<ExtendedTuple>] {
-        match self {
-            SpProof::Hyp { path_tuples, .. } => path_tuples,
-            _ => &[],
-        }
-    }
-
-    /// Number of ΓS items — tuples plus materialized entries plus
-    /// auxiliary digests (the paper's "S-prf" count).
-    pub fn num_items(&self) -> usize {
-        match self {
-            SpProof::Subgraph { tuples } => tuples.len(),
-            SpProof::Distance { full, .. } => full.num_items(),
-            SpProof::Hyp {
-                cell_tuples,
-                path_tuples,
-                hyper,
-                cell_dir,
-                ..
-            } => {
-                cell_tuples.len()
-                    + path_tuples.len()
-                    + hyper.entries.len()
-                    + hyper.num_items()
-                    + cell_dir.entries.len()
-                    + cell_dir.num_items()
-            }
-        }
-    }
-
-    /// Serialized ΓS size in bytes.
-    pub fn size_bytes(&self) -> usize {
-        match self {
-            SpProof::Subgraph { tuples } => tuple_bytes(tuples),
-            SpProof::Distance {
-                full,
-                signed_root,
-                path_tuples,
-            } => full.size_bytes() + signed_root.size_bytes() + tuple_bytes(path_tuples),
-            SpProof::Hyp {
-                cell_tuples,
-                path_tuples,
-                hyper,
-                hyper_signed_root,
-                cell_dir,
-                cell_dir_signed_root,
-            } => {
-                tuple_bytes(cell_tuples)
-                    + tuple_bytes(path_tuples)
-                    + hyper.size_bytes()
-                    + hyper_signed_root.size_bytes()
-                    + cell_dir.size_bytes()
-                    + cell_dir_signed_root.size_bytes()
-            }
-        }
-    }
-}
-
-fn tuple_bytes(tuples: &[Arc<ExtendedTuple>]) -> usize {
-    let mut e = Encoder::new();
-    for t in tuples {
-        t.encode(&mut e);
-    }
-    e.len()
-}
-
-/// A complete provider answer: the result path and both proofs.
-#[derive(Debug, Clone, PartialEq)]
-pub struct Answer {
-    /// The reported shortest path `P_rslt`.
-    pub path: Path,
-    /// The shortest-path proof ΓS.
-    pub sp: SpProof,
-    /// The integrity proof ΓT (covers every tuple in ΓS).
-    pub integrity: IntegrityProof,
-}
-
-impl Answer {
-    /// Proof-size statistics, the metrics of Figures 8–13.
-    pub fn stats(&self) -> ProofStats {
-        ProofStats {
-            s_items: self.sp.num_items(),
-            t_items: self.integrity.num_items(),
-            s_bytes: self.sp.size_bytes(),
-            t_bytes: self.integrity.size_bytes(),
-            path_bytes: self.path.nodes.len() * 4 + 8,
-        }
     }
 }
 

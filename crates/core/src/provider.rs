@@ -1,22 +1,12 @@
 //! The service provider: answers queries with proofs (Algorithm 1).
 
+use crate::batch::{BatchAnswer, BatchQueryProof};
 use crate::error::ProviderError;
 use crate::owner::ProviderPackage;
-use crate::proof::{Answer, IntegrityProof};
-use spnet_graph::algo::{bidirectional_path, dijkstra_path};
-use spnet_graph::NodeId;
-
-/// The provider's shortest-path algorithm `algosp` (Algorithm 1,
-/// Line 1) — the verification framework is agnostic to this choice, so
-/// a provider may pick whatever is fastest for its deployment.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum AlgoSp {
-    /// Plain Dijkstra (default).
-    #[default]
-    Dijkstra,
-    /// Bidirectional Dijkstra \[24\].
-    Bidirectional,
-}
+use crate::par::map_jobs;
+use crate::proof::IntegrityProof;
+use spnet_graph::algo::dijkstra_path;
+use spnet_graph::{NodeId, Path};
 
 /// The service provider role: holds the owner's package and answers
 /// shortest-path queries with verification proofs.
@@ -27,28 +17,12 @@ pub enum AlgoSp {
 #[derive(Clone)]
 pub struct ServiceProvider {
     pub(crate) package: ProviderPackage,
-    algo: AlgoSp,
 }
 
 impl ServiceProvider {
-    /// Wraps an owner package (default `algosp`: Dijkstra).
+    /// Wraps an owner package.
     pub fn new(package: ProviderPackage) -> Self {
-        ServiceProvider {
-            package,
-            algo: AlgoSp::default(),
-        }
-    }
-
-    /// Selects a different `algosp`.
-    pub fn with_algorithm(mut self, algo: AlgoSp) -> Self {
-        self.algo = algo;
-        self
-    }
-
-    /// Selects a different `algosp` in place (the service facade's
-    /// runtime switch).
-    pub fn set_algorithm(&mut self, algo: AlgoSp) {
-        self.algo = algo;
+        ServiceProvider { package }
     }
 
     /// Read access to the package (used by the tamper simulator).
@@ -62,33 +36,76 @@ impl ServiceProvider {
         self.package.hints.method().params_code()
     }
 
-    /// Algorithm 1: computes the shortest path and assembles
-    /// `(P_rslt, ΓS, ΓT)`.
-    pub fn answer(&self, vs: NodeId, vt: NodeId) -> Result<Answer, ProviderError> {
+    /// Algorithm 1 for `queries`: computes each shortest path and
+    /// assembles one pooled `(P_rslt, ΓS, ΓT)` answer. A single query
+    /// is a batch of one.
+    ///
+    /// Per-query search and Γ assembly fan out over threads (each
+    /// reusing its thread's search workspace) when the `parallel`
+    /// feature is on; the pooled result is identical either way.
+    /// [`crate::service::Session::answer_batch`] adds the epoch guard.
+    pub fn answer(&self, queries: &[(NodeId, NodeId)]) -> Result<BatchAnswer, ProviderError> {
+        if queries.is_empty() {
+            return Err(ProviderError::ProofAssembly("empty batch".into()));
+        }
         let g = &self.package.graph;
-        for v in [vs, vt] {
-            if g.check_node(v).is_err() {
-                return Err(ProviderError::UnknownNode(v));
-            }
-        }
-        // Line 1: the provider's algosp of choice.
-        let path = match self.algo {
-            AlgoSp::Dijkstra => dijkstra_path(g, vs, vt),
-            AlgoSp::Bidirectional => bidirectional_path(g, vs, vt),
-        }
-        .map_err(|_| ProviderError::Unreachable {
-            source: vs,
-            target: vt,
-        })?;
-        // Lines 2–3: ΓS from the hints (dispatched through the method's
-        // `AuthMethod` implementation), ΓT from the ADS.
         let method = self.package.hints.method();
-        let (sp, covered_nodes) = method.prove(&self.package, vs, vt, &path)?;
-        let integrity = self.build_integrity(&covered_nodes)?;
-        Ok(Answer {
-            path,
-            sp,
+        // Line 1 (shortest path) and the node set of each query's Γ.
+        let solved = map_jobs(
+            queries,
+            |&(vs, vt)| -> Result<(Path, Vec<NodeId>), ProviderError> {
+                for v in [vs, vt] {
+                    if g.check_node(v).is_err() {
+                        return Err(ProviderError::UnknownNode(v));
+                    }
+                }
+                let path = dijkstra_path(g, vs, vt).map_err(|_| ProviderError::Unreachable {
+                    source: vs,
+                    target: vt,
+                })?;
+                let mut nodes = method.batch_members(&self.package, vs, vt, &path);
+                nodes.sort_unstable();
+                nodes.dedup();
+                Ok((path, nodes))
+            },
+        );
+        let mut gammas: Vec<(Path, Vec<NodeId>)> = Vec::with_capacity(queries.len());
+        for r in solved {
+            gammas.push(r?);
+        }
+        // Lines 2–3: the pool is the sorted union of every Γ, covered
+        // by one ΓT; each query names its Γ as ascending pool indices
+        // (a batch of one covers the whole pool).
+        let mut pool_nodes = Vec::with_capacity(gammas.iter().map(|(_, n)| n.len()).sum());
+        for (_, nodes) in &gammas {
+            pool_nodes.extend_from_slice(nodes);
+        }
+        pool_nodes.sort_unstable();
+        pool_nodes.dedup();
+        let integrity = self.build_integrity(&pool_nodes)?;
+        let aux = method.prove_batch(&self.package, queries)?;
+        let queries = gammas
+            .into_iter()
+            .map(|(path, nodes)| {
+                // Γ ⊆ pool, both sorted and distinct: equal lengths
+                // mean equal sets.
+                let members = if nodes.len() == pool_nodes.len() {
+                    (0..nodes.len() as u32).collect()
+                } else {
+                    nodes
+                        .iter()
+                        .map(|v| pool_nodes.binary_search(v).expect("pooled") as u32)
+                        .collect()
+                };
+                BatchQueryProof { path, members }
+            })
+            .collect();
+        let ads = &self.package.ads;
+        Ok(BatchAnswer {
+            pool: pool_nodes.iter().map(|&v| ads.tuple_shared(v)).collect(),
+            queries,
             integrity,
+            aux,
         })
     }
 
@@ -140,14 +157,21 @@ mod tests {
             MethodConfig::Hyp { cells: 9 },
         ] {
             let sp = provider(method.clone());
-            let a = sp.answer(NodeId(0), NodeId(80)).unwrap();
-            assert_eq!(a.path.source(), NodeId(0));
-            assert_eq!(a.path.target(), NodeId(80));
-            let n_tuples = a.sp.tuples().len() + a.sp.extra_tuples().len();
+            let a = sp.answer(&[(NodeId(0), NodeId(80))]).unwrap();
+            let path = &a.queries[0].path;
+            assert_eq!(path.source(), NodeId(0));
+            assert_eq!(path.target(), NodeId(80));
             assert_eq!(
                 a.integrity.positions.len(),
-                n_tuples,
-                "{}: positions parallel tuples",
+                a.pool.len(),
+                "{}: positions parallel the pool",
+                method.name()
+            );
+            let whole_pool: Vec<u32> = (0..a.pool.len() as u32).collect();
+            assert_eq!(
+                a.queries[0].members,
+                whole_pool,
+                "{}: a batch of one covers its whole pool",
                 method.name()
             );
             let stats = a.stats();
@@ -157,22 +181,27 @@ mod tests {
 
     #[test]
     fn bidirectional_algosp_produces_verifiable_answers() {
-        use super::AlgoSp;
+        // Algorithm 1 is agnostic to the provider's `algosp`: a path
+        // found by bidirectional Dijkstra verifies against the same
+        // proof as long as it is a shortest path.
         let g = grid_network(9, 9, 1.15, 802);
         let mut rng = StdRng::seed_from_u64(803);
         let p = DataOwner::publish(&g, &MethodConfig::Dij, &SetupConfig::default(), &mut rng);
         let client = crate::Client::new(p.public_key);
-        let sp = ServiceProvider::new(p.package).with_algorithm(AlgoSp::Bidirectional);
-        let a = sp.answer(NodeId(0), NodeId(80)).unwrap();
-        let v = client.verify(NodeId(0), NodeId(80), &a).unwrap();
-        assert!((v.distance - a.path.distance).abs() <= 1e-6 * v.distance.max(1.0));
+        let sp = ServiceProvider::new(p.package);
+        let q = [(NodeId(0), NodeId(80))];
+        let mut a = sp.answer(&q).unwrap();
+        let bidi = spnet_graph::algo::bidirectional_path(&g, q[0].0, q[0].1).unwrap();
+        a.queries[0].path = bidi.clone();
+        let d = client.verify(&q, &a).unwrap()[0];
+        assert!((d - bidi.distance).abs() <= 1e-6 * d.max(1.0));
     }
 
     #[test]
     fn unknown_node_rejected() {
         let sp = provider(MethodConfig::Dij);
         assert!(matches!(
-            sp.answer(NodeId(0), NodeId(999)),
+            sp.answer(&[(NodeId(0), NodeId(999))]),
             Err(ProviderError::UnknownNode(_))
         ));
     }
@@ -184,8 +213,9 @@ mod tests {
         let full = provider(MethodConfig::Full {
             use_floyd_warshall: false,
         });
-        let a1 = dij.answer(NodeId(0), NodeId(80)).unwrap();
-        let a2 = full.answer(NodeId(0), NodeId(80)).unwrap();
+        let q = [(NodeId(0), NodeId(80))];
+        let a1 = dij.answer(&q).unwrap();
+        let a2 = full.answer(&q).unwrap();
         assert!(
             a1.stats().total_bytes() > a2.stats().total_bytes(),
             "DIJ {} ≤ FULL {}",

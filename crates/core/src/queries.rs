@@ -35,11 +35,10 @@ use crate::batch::BatchAux;
 use crate::client::Client;
 use crate::error::{ProviderError, VerifyError};
 use crate::methods::dij::RADIUS_SLACK;
-use crate::methods::{MethodParams, PinnedAux, VerifyCtx};
+use crate::methods::{PinnedAux, VerifyCtx};
 use crate::proof::IntegrityProof;
 use crate::provider::ServiceProvider;
 use crate::tuple::ExtendedTuple;
-use spnet_crypto::digest::Digest;
 use spnet_graph::ofloat::OrderedF64;
 use spnet_graph::path::close;
 use spnet_graph::search::with_thread_workspace;
@@ -147,9 +146,9 @@ impl Client {
     }
 
     /// Like [`Self::verify_range`] against a session-pinned signed
-    /// root (byte equality instead of a per-answer RSA check; see
-    /// [`Client::verify_pinned`] for the pinning contract).
-    pub fn verify_range_pinned(
+    /// root (byte equality instead of a per-answer RSA check; the
+    /// pinning contract of the session's point queries).
+    pub(crate) fn verify_range_pinned(
         &self,
         source: NodeId,
         radius: f64,
@@ -181,26 +180,8 @@ impl Client {
                 answered: answer.radius,
             });
         }
-        // --- ΓT: authenticate the pool once. ---------------------------
-        match pinned {
-            Some(root) => {
-                if answer.integrity.signed_root != *root {
-                    return Err(VerifyError::MetaMismatch(
-                        "signed root differs from pinned session root",
-                    ));
-                }
-            }
-            None => {
-                if !answer.integrity.signed_root.verify(self.public_key()) {
-                    return Err(VerifyError::BadSignature);
-                }
-            }
-        }
-        let params = MethodParams::decode(&answer.integrity.signed_root.meta.params)
-            .map_err(|_| VerifyError::MetaMismatch("undecodable method params"))?;
-        if answer.pool.len() != answer.members.len()
-            || answer.pool.len() != answer.integrity.positions.len()
-        {
+        // --- ΓT: the pool is exactly the claimed members. --------------
+        if answer.pool.len() != answer.members.len() {
             return Err(VerifyError::MalformedIntegrityProof(
                 "members, pool and positions must be parallel".into(),
             ));
@@ -218,20 +199,7 @@ impl Client {
                 "range members not strictly ascending".into(),
             ));
         }
-        let leaves: Vec<(usize, Digest)> = answer
-            .pool
-            .iter()
-            .zip(&answer.integrity.positions)
-            .map(|(t, &p)| (p as usize, t.digest()))
-            .collect();
-        let root = answer
-            .integrity
-            .merkle
-            .reconstruct_root(&leaves)
-            .map_err(|e| VerifyError::MalformedIntegrityProof(e.to_string()))?;
-        if root != answer.integrity.signed_root.root {
-            return Err(VerifyError::RootMismatch);
-        }
+        let params = self.authenticate_pool(&answer.integrity, &answer.pool, pinned)?;
         // --- method aux (signed-method-dispatched, downgrade-proof). ---
         let method = params.method();
         let ctx = VerifyCtx {

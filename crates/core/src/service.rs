@@ -1,9 +1,9 @@
 //! `SpService` — the front door: epoch-bound client sessions over one
 //! or **several** served provider packages.
 //!
-//! The raw role APIs ([`ServiceProvider`], [`Client`]) wire one query
-//! at a time and re-verify the owner's signature on every answer; they
-//! also accept any correctly-signed root, so a client can silently
+//! The raw role APIs ([`ServiceProvider`], [`Client`]) re-verify the
+//! owner's signature on every answer; they also accept any
+//! correctly-signed root, so a client can silently
 //! keep verifying against a *stale* epoch after the owner published an
 //! update. This facade fixes both, and adds the concurrent serving
 //! layer:
@@ -50,12 +50,12 @@
 //! let mut rng = StdRng::seed_from_u64(7);
 //! let published = DataOwner::publish(&graph, &MethodConfig::Dij, &SetupConfig::default(), &mut rng);
 //!
-//! let service = SpService::new(published.package);
+//! let service = SpService::builder().package(published.package).build();
 //! let session = service
 //!     .open_session(Client::new(published.public_key))
 //!     .expect("authentic epoch");
-//! let answer = session.query(NodeId(0), NodeId(35)).expect("verified");
-//! assert!(answer.distance > 0.0);
+//! let answers = session.query_batch(&[(NodeId(0), NodeId(35))]).expect("verified");
+//! assert!(answers[0].distance > 0.0);
 //! ```
 
 use crate::ads::SignedRoot;
@@ -64,7 +64,7 @@ use crate::client::Client;
 use crate::error::{ProviderError, VerifyError};
 use crate::methods::{MethodParams, PinnedAux};
 use crate::par::Scheduler;
-use crate::provider::{AlgoSp, ServiceProvider};
+use crate::provider::ServiceProvider;
 use crate::stream::{StreamError, StreamVerifier, DEFAULT_CHUNK_LEN};
 use crate::update::{self, UpdateError};
 use crate::wire::{encode_frame, StreamFrame};
@@ -291,15 +291,9 @@ impl SpServiceBuilder {
     }
 
     /// Registers a package as a shard with no key range.
-    pub fn package(self, package: crate::owner::ProviderPackage) -> Self {
-        self.provider(ServiceProvider::new(package))
-    }
-
-    /// Registers a pre-configured provider (e.g. a different `algosp`)
-    /// as a shard with no key range.
-    pub fn provider(mut self, provider: ServiceProvider) -> Self {
+    pub fn package(mut self, package: crate::owner::ProviderPackage) -> Self {
         self.shards.push(PendingShard {
-            provider,
+            provider: ServiceProvider::new(package),
             key_range: None,
             snapshot_path: None,
         });
@@ -433,23 +427,6 @@ pub struct SpService {
 }
 
 impl SpService {
-    /// Wraps a single owner-published package for serving.
-    ///
-    /// Equivalent to `SpService::builder().package(package).build()` —
-    /// reach for [`Self::builder`] to serve several methods, shard by
-    /// key range, or control the scheduler.
-    pub fn new(package: crate::owner::ProviderPackage) -> Self {
-        Self::builder().package(package).build()
-    }
-
-    /// Wraps a single pre-configured provider (e.g. a different
-    /// `algosp`).
-    ///
-    /// Equivalent to `SpService::builder().provider(provider).build()`.
-    pub fn with_provider(provider: ServiceProvider) -> Self {
-        Self::builder().provider(provider).build()
-    }
-
     /// Starts a [`SpServiceBuilder`].
     pub fn builder() -> SpServiceBuilder {
         SpServiceBuilder::new()
@@ -482,18 +459,6 @@ impl SpService {
                 "shard is not snapshot-backed",
             ))?;
         Ok(spnet_store::chunk_file(path, chunk_len)?)
-    }
-
-    /// Selects a different shortest-path algorithm for future answers
-    /// (applied to every retained epoch of every shard, so draining
-    /// sessions switch too).
-    pub fn set_algorithm(&self, algo: AlgoSp) {
-        for shard in &self.inner.shards {
-            let mut st = shard.state.write().expect("service lock poisoned");
-            for e in &mut st.epochs {
-                e.provider.set_algorithm(algo);
-            }
-        }
     }
 
     /// The current epoch of the first shard (starts at 0, +1 per owner
@@ -796,33 +761,18 @@ impl Session {
         Ok(st)
     }
 
-    /// Answers and verifies one query against the pinned epoch root.
-    pub fn query(&self, vs: NodeId, vt: NodeId) -> Result<SessionAnswer, SessionError> {
-        let answer = {
-            let st = self.state.read().expect("service lock poisoned");
-            st.resolve(self.epoch)?.answer(vs, vt)?
-        };
-        let v = self
-            .client
-            .verify_pinned(vs, vt, &answer, &self.root, Some(&self.pins))?;
-        Ok(SessionAnswer {
-            path: answer.path,
-            distance: v.distance,
-        })
-    }
-
-    /// Provider half of a batched query: proves `queries` against the
-    /// session's epoch (one pooled proof — shared tuples, one Merkle
-    /// cover, aux once per batch). Fails with
-    /// [`SessionError::EpochInvalidated`] only once the epoch has been
-    /// evicted from the shard's retention ring.
+    /// Provider half of a query batch (a single query is a batch of
+    /// one): proves `queries` against the session's epoch (one pooled
+    /// proof — shared tuples, one Merkle cover, aux once per batch).
+    /// Fails with [`SessionError::EpochInvalidated`] only once the
+    /// epoch has been evicted from the shard's retention ring.
     ///
     /// Split from [`Self::verify_batch`] so benches and tests can
     /// measure, serialize, or tamper with the proof between the two
     /// halves; [`Self::query_batch`] composes them.
     pub fn answer_batch(&self, queries: &[(NodeId, NodeId)]) -> Result<BatchAnswer, SessionError> {
         let st = self.guard()?;
-        Ok(st.resolve(self.epoch)?.answer_batch_impl(queries)?)
+        Ok(st.resolve(self.epoch)?.answer(queries)?)
     }
 
     /// Client half of a batched query: verifies a batch against the
@@ -837,7 +787,8 @@ impl Session {
             .verify_batch_impl(queries, batch, Some(&self.root), Some(&self.pins))?)
     }
 
-    /// Answers and verifies a batch with one pooled proof.
+    /// Answers and verifies `queries` (one or more) with one pooled
+    /// proof.
     pub fn query_batch(
         &self,
         queries: &[(NodeId, NodeId)],
@@ -1007,7 +958,7 @@ impl SessionStream<'_> {
         sched.spawn(move || {
             let result = (|| -> Result<Vec<u8>, SessionError> {
                 let st = state.read().expect("service lock poisoned");
-                let batch = st.resolve(epoch)?.answer_batch_impl(&chunk)?;
+                let batch = st.resolve(epoch)?.answer(&chunk)?;
                 Ok(encode_frame(&StreamFrame::Chunk {
                     start: start as u32,
                     batch: Box::new(batch),
@@ -1027,7 +978,7 @@ impl SessionStream<'_> {
         let st = self.session.guard()?;
         let batch = st
             .resolve(self.session.epoch)?
-            .answer_batch_impl(&self.queries[start..end])?;
+            .answer(&self.queries[start..end])?;
         Ok(encode_frame(&StreamFrame::Chunk {
             start: start as u32,
             batch: Box::new(batch),
@@ -1142,7 +1093,12 @@ mod tests {
         let kp = RsaKeyPair::generate(&mut rng, 256);
         let p = DataOwner::publish_with_key(&g, &method, &SetupConfig::default(), &kp);
         let client = Client::new(p.public_key);
-        (g, SpService::new(p.package), client, kp)
+        (
+            g,
+            SpService::builder().package(p.package).build(),
+            client,
+            kp,
+        )
     }
 
     /// [`deploy`] with an explicit MVCC retention horizon (builder
@@ -1200,7 +1156,7 @@ mod tests {
             assert_eq!(session.method_name(), method.name());
             for &(s, t) in &QUERIES {
                 let (s, t) = (NodeId(s), NodeId(t));
-                let a = session.query(s, t).unwrap();
+                let a = session.query_batch(&[(s, t)]).unwrap().remove(0);
                 let truth = dijkstra_path(&g, s, t).unwrap().distance;
                 assert!(
                     (a.distance - truth).abs() <= 1e-6 * truth.max(1.0),
@@ -1223,7 +1179,7 @@ mod tests {
             assert_eq!(batch.len(), qs.len());
             assert_eq!(streamed.len(), qs.len());
             for ((b, s_), &(vs, vt)) in batch.iter().zip(&streamed).zip(&qs) {
-                let single = session.query(vs, vt).unwrap();
+                let single = session.query_batch(&[(vs, vt)]).unwrap().remove(0);
                 assert_eq!(
                     b.distance.to_bits(),
                     single.distance.to_bits(),
@@ -1287,7 +1243,10 @@ mod tests {
             let session = service.open_session_for(client.clone(), code).unwrap();
             assert_eq!(session.method_name(), name);
             let truth = dijkstra_path(&g, NodeId(0), NodeId(80)).unwrap().distance;
-            let a = session.query(NodeId(0), NodeId(80)).unwrap();
+            let a = session
+                .query_batch(&[(NodeId(0), NodeId(80))])
+                .unwrap()
+                .remove(0);
             assert!(
                 (a.distance - truth).abs() <= 1e-6 * truth.max(1.0),
                 "{name}"
@@ -1325,13 +1284,21 @@ mod tests {
             .open_session_routed(client.clone(), 1, NodeId(7))
             .unwrap();
         assert_eq!(
-            sa.query(NodeId(0), NodeId(80)).unwrap().distance.to_bits(),
+            sa.query_batch(&[(NodeId(0), NodeId(80))])
+                .unwrap()
+                .remove(0)
+                .distance
+                .to_bits(),
             ta.to_bits(),
             "key 7 routes to the (0,40) shard"
         );
         let sb = service.open_session_routed(client, 1, NodeId(55)).unwrap();
         assert_eq!(
-            sb.query(NodeId(0), NodeId(80)).unwrap().distance.to_bits(),
+            sb.query_batch(&[(NodeId(0), NodeId(80))])
+                .unwrap()
+                .remove(0)
+                .distance
+                .to_bits(),
             tb.to_bits(),
             "key 55 routes to the (41,80) shard"
         );
@@ -1407,7 +1374,10 @@ mod tests {
         assert_eq!(service.update_edge_weight(&kp, u, v, 500.0).unwrap(), 1);
         assert_eq!(service.epoch(), 1);
         // The pinned session keeps answering — old epoch, old truth.
-        let a = session.query(NodeId(0), NodeId(80)).unwrap();
+        let a = session
+            .query_batch(&[(NodeId(0), NodeId(80))])
+            .unwrap()
+            .remove(0);
         assert_eq!(a.distance.to_bits(), old_truth.to_bits());
         // The pre-update stream completes on the pinned epoch.
         let rest: Vec<SessionAnswer> = stream
@@ -1424,7 +1394,10 @@ mod tests {
         assert!((new_truth - old_truth).abs() > 1e-9);
         let fresh = service.open_session(client).unwrap();
         assert_eq!(fresh.epoch(), 1);
-        let b = fresh.query(NodeId(0), NodeId(80)).unwrap();
+        let b = fresh
+            .query_batch(&[(NodeId(0), NodeId(80))])
+            .unwrap()
+            .remove(0);
         assert_eq!(b.distance.to_bits(), new_truth.to_bits());
     }
 
@@ -1434,13 +1407,16 @@ mod tests {
         // update evicts epoch 0 and stale sessions fail loudly.
         let (g, service, client, kp) = deploy_retain(MethodConfig::Dij, 1);
         let session = service.open_session(client.clone()).unwrap();
-        session.query(NodeId(0), NodeId(80)).unwrap();
+        session
+            .query_batch(&[(NodeId(0), NodeId(80))])
+            .unwrap()
+            .remove(0);
         let (u, v, w) = g.edges().next().unwrap();
         assert_eq!(service.epoch(), 0);
         assert_eq!(service.update_edge_weight(&kp, u, v, w * 2.0).unwrap(), 1);
         assert_eq!(service.epoch(), 1);
         assert_eq!(
-            session.query(NodeId(0), NodeId(80)),
+            session.query_batch(&[(NodeId(0), NodeId(80))]),
             Err(SessionError::EpochInvalidated {
                 opened: 0,
                 current: 1
@@ -1453,7 +1429,10 @@ mod tests {
         // A reopened session serves the updated network.
         let fresh = service.open_session(client).unwrap();
         assert_eq!(fresh.epoch(), 1);
-        let a = fresh.query(NodeId(0), NodeId(80)).unwrap();
+        let a = fresh
+            .query_batch(&[(NodeId(0), NodeId(80))])
+            .unwrap()
+            .remove(0);
         let st = service.read();
         let truth = dijkstra_path(&st.latest().provider.package().graph, NodeId(0), NodeId(80))
             .unwrap()
@@ -1470,18 +1449,24 @@ mod tests {
         let s1 = service.open_session(client).unwrap();
         assert_eq!(s1.epoch(), 1);
         // Epochs {0, 1} retained: both sessions still serve.
-        s0.query(NodeId(0), NodeId(80)).unwrap();
-        s1.query(NodeId(0), NodeId(80)).unwrap();
+        s0.query_batch(&[(NodeId(0), NodeId(80))])
+            .unwrap()
+            .remove(0);
+        s1.query_batch(&[(NodeId(0), NodeId(80))])
+            .unwrap()
+            .remove(0);
         service.update_edge_weight(&kp, u, v, w * 3.0).unwrap();
         // Epochs {1, 2}: s0's epoch fell off the ring, s1 survives.
         assert_eq!(
-            s0.query(NodeId(0), NodeId(80)),
+            s0.query_batch(&[(NodeId(0), NodeId(80))]),
             Err(SessionError::EpochInvalidated {
                 opened: 0,
                 current: 2
             })
         );
-        s1.query(NodeId(0), NodeId(80)).unwrap();
+        s1.query_batch(&[(NodeId(0), NodeId(80))])
+            .unwrap()
+            .remove(0);
     }
 
     #[test]
@@ -1519,7 +1504,10 @@ mod tests {
             .distance;
         let session = service.open_session(client).unwrap();
         assert_eq!(session.epoch(), 1);
-        let a = session.query(NodeId(0), NodeId(80)).unwrap();
+        let a = session
+            .query_batch(&[(NodeId(0), NodeId(80))])
+            .unwrap()
+            .remove(0);
         assert!((a.distance - truth).abs() <= 1e-6 * truth.max(1.0));
     }
 
@@ -1554,7 +1542,10 @@ mod tests {
         for code in [1u8, 4] {
             let session = service.open_session_for(client.clone(), code).unwrap();
             assert_eq!(session.epoch(), 1);
-            let a = session.query(NodeId(0), NodeId(80)).unwrap();
+            let a = session
+                .query_batch(&[(NodeId(0), NodeId(80))])
+                .unwrap()
+                .remove(0);
             assert!(
                 (a.distance - truth).abs() <= 1e-6 * truth.max(1.0),
                 "method code {code}"
@@ -1593,7 +1584,7 @@ mod tests {
         assert_eq!(service.update_edge_weight(&kp, u, v, w * 2.0).unwrap(), 1);
         // Shard A bumped; with retain 1 its pre-update session is gone.
         assert!(matches!(
-            session_a.query(NodeId(0), NodeId(80)),
+            session_a.query_batch(&[(NodeId(0), NodeId(80))]),
             Err(SessionError::EpochInvalidated { .. })
         ));
         let fresh_a = service
@@ -1601,7 +1592,10 @@ mod tests {
             .unwrap();
         assert_eq!(fresh_a.epoch(), 1);
         // Shard B never saw the update: epoch 0, session still alive.
-        session_b.query(NodeId(0), NodeId(80)).unwrap();
+        session_b
+            .query_batch(&[(NodeId(0), NodeId(80))])
+            .unwrap()
+            .remove(0);
         let fresh_b = service.open_session_routed(client, 1, NodeId(55)).unwrap();
         assert_eq!(fresh_b.epoch(), 0);
     }
@@ -1615,7 +1609,7 @@ mod tests {
         service.update_edge_weight(&kp, u, v, w * 2.0).unwrap();
         assert_eq!(clone.epoch(), 1);
         assert!(matches!(
-            session.query(NodeId(0), NodeId(80)),
+            session.query_batch(&[(NodeId(0), NodeId(80))]),
             Err(SessionError::EpochInvalidated { .. })
         ));
     }

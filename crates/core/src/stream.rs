@@ -151,7 +151,7 @@ impl Iterator for AnswerStream<'_> {
             ProduceStage::Chunks => {
                 let start = self.next;
                 let end = (start + self.chunk_len).min(self.queries.len());
-                let batch = match self.provider.answer_batch_impl(&self.queries[start..end]) {
+                let batch = match self.provider.answer(&self.queries[start..end]) {
                     Ok(b) => b,
                     Err(e) => {
                         self.stage = ProduceStage::Done;

@@ -1,11 +1,12 @@
 //! Attack simulation: the malicious-provider behaviours the protocol
 //! must detect (Section I's threat model).
 //!
-//! Each [`Attack`] takes an honest answer and mutates it the way a
-//! compromised or profit-driven provider would; the test-suite and the
-//! `tamper_detection` example assert that clients reject every variant.
+//! Each [`Attack`] takes an honest answer and mutates its first query
+//! the way a compromised or profit-driven provider would; the
+//! test-suite and the `tamper_detection` example assert that clients
+//! reject every variant.
 
-use crate::proof::Answer;
+use crate::batch::BatchAnswer;
 use spnet_graph::{Graph, NodeId};
 
 /// A malicious-provider behaviour.
@@ -19,7 +20,7 @@ pub enum Attack {
     UnderstatedDistance,
     /// Halve one edge weight inside a shipped tuple (fake a shortcut).
     TamperedWeight,
-    /// Drop one non-endpoint tuple from a subgraph proof.
+    /// Drop one non-endpoint tuple from the query's Γ.
     DroppedTuple,
     /// Splice a non-existent edge into the reported path.
     FakeEdge,
@@ -37,18 +38,19 @@ pub const ALL_ATTACKS: [Attack; 6] = [
     Attack::WrongEndpoints,
 ];
 
-/// Applies `attack` to an honest `answer`.
+/// Applies `attack` to the first query of an honest `answer`.
 ///
 /// Returns `None` when the attack is not expressible for this answer
 /// (e.g. no alternative path exists for [`Attack::SuboptimalPath`], or
 /// the proof carries no droppable tuple).
-pub fn apply(attack: Attack, g: &Graph, answer: &Answer) -> Option<Answer> {
+pub fn apply(attack: Attack, g: &Graph, answer: &BatchAnswer) -> Option<BatchAnswer> {
     let mut evil = answer.clone();
+    let honest = &answer.queries.first()?.path;
+    let query = &mut evil.queries[0];
     match attack {
         Attack::SuboptimalPath => {
             // Longest-detour heuristic: take the shortest path avoiding
             // the second node of the honest path.
-            let honest = &answer.path;
             if honest.nodes.len() < 3 {
                 return None;
             }
@@ -57,49 +59,45 @@ pub fn apply(attack: Attack, g: &Graph, answer: &Answer) -> Option<Answer> {
             if detour.distance <= honest.distance * (1.0 + 1e-9) {
                 return None; // equally short — not an attack
             }
-            evil.path = detour;
-            Some(evil)
+            query.path = detour;
         }
         Attack::UnderstatedDistance => {
-            evil.path.distance *= 0.9;
-            Some(evil)
+            query.path.distance *= 0.9;
         }
         Attack::TamperedWeight => {
-            let tuples = evil.sp.tuples_mut();
-            let t = tuples.iter_mut().find(|t| !t.adj.is_empty())?;
-            // Proof tuples are shared handles into the ADS table;
+            let t = evil.pool.iter_mut().find(|t| !t.adj.is_empty())?;
+            // Pooled tuples are shared handles into the ADS table;
             // copy-on-write so the attack never corrupts the provider.
             std::sync::Arc::make_mut(t).adj[0].1 *= 0.5;
-            Some(evil)
         }
         Attack::DroppedTuple => {
-            let (src, tgt) = (answer.path.source(), answer.path.target());
-            let tuples = evil.sp.tuples_mut();
-            let idx = tuples.iter().position(|t| t.id != src && t.id != tgt)?;
-            tuples.remove(idx);
-            evil.integrity.positions.remove(idx);
-            Some(evil)
+            let (src, tgt) = (honest.source(), honest.target());
+            let pool = &evil.pool;
+            let idx = query.members.iter().position(|&i| {
+                let id = pool[i as usize].id;
+                id != src && id != tgt
+            })?;
+            query.members.remove(idx);
         }
         Attack::FakeEdge => {
             // Shortcut the path: remove an interior node, pretending the
             // two nodes around it are adjacent.
-            if evil.path.nodes.len() < 3 {
+            if query.path.nodes.len() < 3 {
                 return None;
             }
-            let mid = evil.path.nodes.len() / 2;
-            evil.path.nodes.remove(mid);
-            Some(evil)
+            let mid = query.path.nodes.len() / 2;
+            query.path.nodes.remove(mid);
         }
         Attack::WrongEndpoints => {
-            let last = *evil.path.nodes.last()?;
+            let last = *query.path.nodes.last()?;
             let other = g
                 .neighbors(last)
                 .map(|(u, _)| u)
-                .find(|u| !evil.path.nodes.contains(u))?;
-            evil.path.nodes.push(other);
-            Some(evil)
+                .find(|u| !query.path.nodes.contains(u))?;
+            query.path.nodes.push(other);
         }
     }
+    Some(evil)
 }
 
 /// Shortest path from `s` to `t` in `g` that avoids node `avoid`.
@@ -166,18 +164,16 @@ mod tests {
         let p = DataOwner::publish(&g, &method, &SetupConfig::default(), &mut rng);
         let provider = ServiceProvider::new(p.package);
         let client = Client::new(p.public_key);
-        let (s, t) = (NodeId(0), NodeId(80));
-        let honest = provider.answer(s, t).unwrap();
-        client
-            .verify(s, t, &honest)
-            .expect("honest answer accepted");
+        let q = [(NodeId(0), NodeId(80))];
+        let honest = provider.answer(&q).unwrap();
+        client.verify(&q, &honest).expect("honest answer accepted");
         let mut applied = 0;
         for attack in ALL_ATTACKS {
             let Some(evil) = apply(attack, &g, &honest) else {
                 continue;
             };
             applied += 1;
-            let res = client.verify(s, t, &evil);
+            let res = client.verify(&q, &evil);
             assert!(
                 res.is_err(),
                 "{}: attack {attack:?} was NOT detected",
@@ -223,10 +219,10 @@ mod tests {
         let p = DataOwner::publish(&g, &MethodConfig::Dij, &SetupConfig::default(), &mut rng);
         let provider = ServiceProvider::new(p.package);
         let client = Client::new(p.public_key);
-        let (s, t) = (NodeId(0), NodeId(80));
-        let honest = provider.answer(s, t).unwrap();
+        let q = [(NodeId(0), NodeId(80))];
+        let honest = provider.answer(&q).unwrap();
         if let Some(evil) = apply(Attack::SuboptimalPath, &g, &honest) {
-            let err = client.verify(s, t, &evil).unwrap_err();
+            let err = client.verify(&q, &evil).unwrap_err();
             assert!(
                 matches!(
                     err,

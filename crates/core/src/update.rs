@@ -208,9 +208,9 @@ mod tests {
         let after_truth = dijkstra_path(&package.graph, s, t).unwrap().distance;
         assert!(after_truth > before.distance || (after_truth - before.distance).abs() < 1e-9);
         let provider = ServiceProvider::new(package);
-        let answer = provider.answer(s, t).unwrap();
-        let verified = client.verify(s, t, &answer).unwrap();
-        assert!((verified.distance - after_truth).abs() <= 1e-6 * after_truth.max(1.0));
+        let answer = provider.answer(&[(s, t)]).unwrap();
+        let verified = client.verify(&[(s, t)], &answer).unwrap();
+        assert!((verified[0] - after_truth).abs() <= 1e-6 * after_truth.max(1.0));
     }
 
     #[test]
@@ -219,9 +219,9 @@ mod tests {
         let (s, t) = (NodeId(0), NodeId(63));
         let mut fresh = package.clone();
         let provider_old = ServiceProvider::new(package);
-        let stale = provider_old.answer(s, t).unwrap();
+        let stale = provider_old.answer(&[(s, t)]).unwrap();
         client
-            .verify(s, t, &stale)
+            .verify(&[(s, t)], &stale)
             .expect("pre-update answer valid");
         // Owner updates some edge elsewhere; new root, new signature.
         let (u, v, _) = fresh.graph.edges().next().unwrap();
@@ -235,12 +235,12 @@ mod tests {
         let provider_new = ServiceProvider::new(fresh);
         let mut franken = stale.clone();
         franken.integrity.signed_root = provider_new
-            .answer(s, t)
+            .answer(&[(s, t)])
             .unwrap()
             .integrity
             .signed_root
             .clone();
-        assert!(new_client.verify(s, t, &franken).is_err());
+        assert!(new_client.verify(&[(s, t)], &franken).is_err());
     }
 
     #[test]
@@ -296,12 +296,12 @@ mod tests {
             let truth = dijkstra_path(&package.graph, s, t).unwrap().distance;
             let client = Client::new(p.public_key.clone());
             let provider = ServiceProvider::new(package);
-            let answer = provider.answer(s, t).unwrap();
+            let answer = provider.answer(&[(s, t)]).unwrap();
             let verified = client
-                .verify(s, t, &answer)
+                .verify(&[(s, t)], &answer)
                 .unwrap_or_else(|e| panic!("{} fails post-update: {e}", method.name()));
             assert!(
-                (verified.distance - truth).abs() <= 1e-6 * truth.max(1.0),
+                (verified[0] - truth).abs() <= 1e-6 * truth.max(1.0),
                 "{}: distance drift",
                 method.name()
             );

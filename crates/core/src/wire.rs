@@ -1,22 +1,25 @@
 //! Wire format: complete serialization of provider answers.
 //!
-//! Everything a client receives — the reported path, ΓS and ΓT — can be
-//! encoded to bytes and decoded back. This is what an actual deployment
-//! transmits, and it makes the proof-size figures exact: the harness's
-//! byte counts equal `encode_answer(..).len()` (asserted by tests).
+//! Everything a client receives — the reported paths, ΓS and ΓT — can
+//! be encoded to bytes and decoded back. This is what an actual
+//! deployment transmits, and it makes the proof-size figures exact: the
+//! harness's byte counts track `encode_batch_answer(..).len()`
+//! (asserted by tests). A single query is a batch of one; its member
+//! list is the whole pool, so it ships as one marker instead of the
+//! indices.
 //!
-//! Every top-level payload (answer, batch answer, stream frame) opens
+//! Every top-level payload (answer, range answer, stream frame) opens
 //! with an explicit format-version byte ([`WIRE_VERSION`]); decoding a
 //! payload from a different format fails with the typed
 //! [`DecodeError::UnsupportedVersion`] instead of a misleading
-//! truncation error. Streaming batch serving reuses the
-//! [`BatchAnswer`] encoding inside [`StreamFrame::Chunk`] frames.
+//! truncation error. Streaming serving reuses the [`BatchAnswer`]
+//! encoding inside [`StreamFrame::Chunk`] frames.
 
 use crate::ads::{AdsMeta, AdsTag, SignedRoot};
 use crate::batch::{BatchAnswer, BatchAux, BatchQueryProof};
 use crate::enc::{DecodeError, Decoder, Encoder};
-use crate::methods::full::{FullBatchProof, FullDistanceProof, FullRowProof};
-use crate::proof::{Answer, IntegrityProof, SpProof};
+use crate::methods::full::{FullBatchProof, FullRowProof};
+use crate::proof::IntegrityProof;
 use crate::queries::RangeAnswer;
 use crate::tuple::ExtendedTuple;
 use spnet_crypto::digest::{Digest, DIGEST_LEN};
@@ -28,8 +31,15 @@ use spnet_graph::{NodeId, Path};
 /// The wire format version this build encodes and accepts.
 ///
 /// Version 1 was the implicit (headerless) seed format; version 2
-/// added the explicit leading version byte and the streaming frames.
-pub const WIRE_VERSION: u8 = 2;
+/// added the explicit leading version byte and the streaming frames;
+/// version 3 dropped the single-query answer format, moved the pool
+/// ahead of the per-query sections and ships a batch of one's implied
+/// member list as [`WHOLE_POOL`].
+pub const WIRE_VERSION: u8 = 3;
+
+/// Member-count marker of a batch of one whose Γ is its whole pool
+/// (see [`BatchAnswer::implied_members`]): no indices follow.
+pub const WHOLE_POOL: u32 = u32::MAX;
 
 /// Emits the leading version byte of every top-level payload.
 fn put_version(e: &mut Encoder) {
@@ -44,32 +54,7 @@ fn take_version(d: &mut Decoder<'_>) -> Result<(), DecodeError> {
     }
 }
 
-/// Encodes a full answer into bytes.
-pub fn encode_answer(a: &Answer) -> Vec<u8> {
-    let mut e = Encoder::new();
-    put_version(&mut e);
-    put_path(&mut e, &a.path);
-    put_sp(&mut e, &a.sp);
-    put_integrity(&mut e, &a.integrity);
-    e.into_bytes()
-}
-
-/// Decodes an answer from bytes, requiring full consumption.
-pub fn decode_answer(bytes: &[u8]) -> Result<Answer, DecodeError> {
-    let mut d = Decoder::new(bytes);
-    take_version(&mut d)?;
-    let path = take_path(&mut d)?;
-    let sp = take_sp(&mut d)?;
-    let integrity = take_integrity(&mut d)?;
-    d.finish()?;
-    Ok(Answer {
-        path,
-        sp,
-        integrity,
-    })
-}
-
-/// Encodes a batched answer into bytes.
+/// Encodes an answer (a batch of one or more queries) into bytes.
 pub fn encode_batch_answer(b: &BatchAnswer) -> Vec<u8> {
     let mut e = Encoder::new();
     put_version(&mut e);
@@ -79,20 +64,25 @@ pub fn encode_batch_answer(b: &BatchAnswer) -> Vec<u8> {
 
 /// The version-less batch payload (shared with stream chunk frames).
 fn put_batch_body(e: &mut Encoder, b: &BatchAnswer) {
+    put_tuples(e, &b.pool);
     e.put_u32(b.queries.len() as u32);
+    let implied = b.implied_members();
     for q in &b.queries {
         put_path(e, &q.path);
-        e.put_u32(q.members.len() as u32);
-        for m in &q.members {
-            e.put_u32(*m);
+        if implied {
+            e.put_u32(WHOLE_POOL);
+        } else {
+            e.put_u32(q.members.len() as u32);
+            for m in &q.members {
+                e.put_u32(*m);
+            }
         }
     }
-    put_tuples(e, &b.pool);
     put_integrity(e, &b.integrity);
     put_batch_aux(e, &b.aux);
 }
 
-/// Decodes a batched answer from bytes, requiring full consumption.
+/// Decodes an answer from bytes, requiring full consumption.
 pub fn decode_batch_answer(bytes: &[u8]) -> Result<BatchAnswer, DecodeError> {
     let mut d = Decoder::new(bytes);
     take_version(&mut d)?;
@@ -103,6 +93,7 @@ pub fn decode_batch_answer(bytes: &[u8]) -> Result<BatchAnswer, DecodeError> {
 
 /// The version-less batch payload (shared with stream chunk frames).
 fn take_batch_body(d: &mut Decoder<'_>) -> Result<BatchAnswer, DecodeError> {
+    let pool = take_tuples(d)?;
     let k = d.take_u32()? as usize;
     if k > 1 << 24 {
         return Err(DecodeError::LengthOverflow(k as u64));
@@ -110,17 +101,22 @@ fn take_batch_body(d: &mut Decoder<'_>) -> Result<BatchAnswer, DecodeError> {
     let mut queries = Vec::with_capacity(k);
     for _ in 0..k {
         let path = take_path(d)?;
-        let m = d.take_u32()? as usize;
-        if m > 1 << 24 {
+        let m = d.take_u32()?;
+        // The marker is valid only in a batch of one, so it never
+        // expands to more than the pool already decoded.
+        let members = if m == WHOLE_POOL && k == 1 {
+            (0..pool.len() as u32).collect()
+        } else if m > 1 << 24 {
             return Err(DecodeError::LengthOverflow(m as u64));
-        }
-        let mut members = Vec::with_capacity(m);
-        for _ in 0..m {
-            members.push(d.take_u32()?);
-        }
+        } else {
+            let mut members = Vec::with_capacity(m as usize);
+            for _ in 0..m {
+                members.push(d.take_u32()?);
+            }
+            members
+        };
         queries.push(BatchQueryProof { path, members });
     }
-    let pool = take_tuples(d)?;
     let integrity = take_integrity(d)?;
     let aux = take_batch_aux(d)?;
     Ok(BatchAnswer {
@@ -475,88 +471,6 @@ fn take_tuples(d: &mut Decoder<'_>) -> Result<Vec<std::sync::Arc<ExtendedTuple>>
     Ok(out)
 }
 
-// --- ΓS -------------------------------------------------------------
-
-fn put_sp(e: &mut Encoder, sp: &SpProof) {
-    match sp {
-        SpProof::Subgraph { tuples } => {
-            e.put_u8(1);
-            put_tuples(e, tuples);
-        }
-        SpProof::Distance {
-            full,
-            signed_root,
-            path_tuples,
-        } => {
-            e.put_u8(2);
-            e.put_u64(full.entry.key);
-            e.put_f64(full.entry.value);
-            e.put_u32(full.row_index);
-            put_merkle(e, &full.row_proof);
-            e.put_u32(full.top_index);
-            put_merkle(e, &full.top_proof);
-            put_signed_root(e, signed_root);
-            put_tuples(e, path_tuples);
-        }
-        SpProof::Hyp {
-            cell_tuples,
-            path_tuples,
-            hyper,
-            hyper_signed_root,
-            cell_dir,
-            cell_dir_signed_root,
-        } => {
-            e.put_u8(3);
-            put_tuples(e, cell_tuples);
-            put_tuples(e, path_tuples);
-            put_keyed(e, hyper);
-            put_signed_root(e, hyper_signed_root);
-            put_keyed(e, cell_dir);
-            put_signed_root(e, cell_dir_signed_root);
-        }
-    }
-}
-
-fn take_sp(d: &mut Decoder<'_>) -> Result<SpProof, DecodeError> {
-    match d.take_u8()? {
-        1 => Ok(SpProof::Subgraph {
-            tuples: take_tuples(d)?,
-        }),
-        2 => {
-            let entry = KeyedEntry {
-                key: d.take_u64()?,
-                value: d.take_f64()?,
-            };
-            let row_index = d.take_u32()?;
-            let row_proof = take_merkle(d)?;
-            let top_index = d.take_u32()?;
-            let top_proof = take_merkle(d)?;
-            let signed_root = take_signed_root(d)?;
-            let path_tuples = take_tuples(d)?;
-            Ok(SpProof::Distance {
-                full: FullDistanceProof {
-                    entry,
-                    row_index,
-                    row_proof,
-                    top_index,
-                    top_proof,
-                },
-                signed_root,
-                path_tuples,
-            })
-        }
-        3 => Ok(SpProof::Hyp {
-            cell_tuples: take_tuples(d)?,
-            path_tuples: take_tuples(d)?,
-            hyper: take_keyed(d)?,
-            hyper_signed_root: take_signed_root(d)?,
-            cell_dir: take_keyed(d)?,
-            cell_dir_signed_root: take_signed_root(d)?,
-        }),
-        t => Err(DecodeError::BadTag(t)),
-    }
-}
-
 // --- batch aux --------------------------------------------------------
 
 fn put_batch_aux(e: &mut Encoder, aux: &BatchAux) {
@@ -676,14 +590,17 @@ mod tests {
     use rand::SeedableRng;
     use spnet_graph::gen::grid_network;
 
-    fn answers_for(method: MethodConfig) -> (Answer, Client) {
+    /// A batch of one — the single-query answer.
+    fn answers_for(method: MethodConfig) -> (BatchAnswer, Client) {
         let g = grid_network(9, 9, 1.15, 1300);
         let mut rng = StdRng::seed_from_u64(1301);
         let p = DataOwner::publish(&g, &method, &SetupConfig::default(), &mut rng);
         let client = Client::new(p.public_key);
         let provider = ServiceProvider::new(p.package);
-        (provider.answer(NodeId(0), NodeId(80)).unwrap(), client)
+        (provider.answer(&Q).unwrap(), client)
     }
+
+    const Q: [(NodeId, NodeId); 1] = [(NodeId(0), NodeId(80))];
 
     fn all_methods() -> Vec<MethodConfig> {
         vec![
@@ -703,9 +620,15 @@ mod tests {
     fn round_trip_all_methods() {
         for method in all_methods() {
             let (answer, _) = answers_for(method.clone());
-            let bytes = encode_answer(&answer);
-            let back = decode_answer(&bytes).unwrap();
+            assert!(answer.implied_members(), "{}", method.name());
+            let bytes = encode_batch_answer(&answer);
+            let back = decode_batch_answer(&bytes).unwrap();
             assert_eq!(back, answer, "{}", method.name());
+            // A member list that is not the whole pool ships explicitly.
+            let mut partial = answer.clone();
+            partial.queries[0].members.remove(0);
+            let bytes = encode_batch_answer(&partial);
+            assert_eq!(decode_batch_answer(&bytes).unwrap(), partial);
         }
     }
 
@@ -713,10 +636,10 @@ mod tests {
     fn decoded_answers_still_verify() {
         for method in all_methods() {
             let (answer, client) = answers_for(method.clone());
-            let bytes = encode_answer(&answer);
-            let back = decode_answer(&bytes).unwrap();
+            let bytes = encode_batch_answer(&answer);
+            let back = decode_batch_answer(&bytes).unwrap();
             client
-                .verify(NodeId(0), NodeId(80), &back)
+                .verify(&Q, &back)
                 .unwrap_or_else(|e| panic!("{}: {e}", method.name()));
         }
     }
@@ -727,7 +650,7 @@ mod tests {
         // bytes agree within framing overhead (< 5% + 64 bytes).
         for method in all_methods() {
             let (answer, _) = answers_for(method.clone());
-            let wire = encode_answer(&answer).len();
+            let wire = encode_batch_answer(&answer).len();
             let stats = answer.stats().total_bytes();
             let tolerance = stats / 20 + 64;
             assert!(
@@ -741,19 +664,19 @@ mod tests {
     #[test]
     fn truncated_bytes_rejected() {
         let (answer, _) = answers_for(MethodConfig::Dij);
-        let bytes = encode_answer(&answer);
+        let bytes = encode_batch_answer(&answer);
         for cut in [0usize, 1, bytes.len() / 2, bytes.len() - 1] {
-            assert!(decode_answer(&bytes[..cut]).is_err(), "cut at {cut}");
+            assert!(decode_batch_answer(&bytes[..cut]).is_err(), "cut at {cut}");
         }
     }
 
     #[test]
     fn trailing_bytes_rejected() {
         let (answer, _) = answers_for(MethodConfig::Dij);
-        let mut bytes = encode_answer(&answer);
+        let mut bytes = encode_batch_answer(&answer);
         bytes.push(0);
         assert!(matches!(
-            decode_answer(&bytes),
+            decode_batch_answer(&bytes),
             Err(DecodeError::TrailingBytes(1))
         ));
     }
@@ -763,12 +686,12 @@ mod tests {
         // Any single byte flip either fails to decode or decodes to a
         // different answer (no silent aliasing).
         let (answer, _) = answers_for(MethodConfig::Dij);
-        let bytes = encode_answer(&answer);
+        let bytes = encode_batch_answer(&answer);
         let step = (bytes.len() / 23).max(1);
         for i in (0..bytes.len()).step_by(step) {
             let mut evil = bytes.clone();
             evil[i] ^= 0x01;
-            match decode_answer(&evil) {
+            match decode_batch_answer(&evil) {
                 Err(_) => {}
                 Ok(back) => assert_ne!(back, answer, "flip at {i} aliased"),
             }
@@ -786,11 +709,7 @@ mod tests {
             (NodeId(1), NodeId(79)),
             (NodeId(0), NodeId(40)),
         ];
-        (
-            queries.clone(),
-            provider.answer_batch_impl(&queries).unwrap(),
-            client,
-        )
+        (queries.clone(), provider.answer(&queries).unwrap(), client)
     }
 
     #[test]
@@ -809,11 +728,9 @@ mod tests {
             let (queries, batch, client) = batch_for(method.clone());
             let bytes = encode_batch_answer(&batch);
             let back = decode_batch_answer(&bytes).unwrap();
-            let want = client
-                .verify_batch_impl(&queries, &batch, None, None)
-                .unwrap();
+            let want = client.verify(&queries, &batch).unwrap();
             let got = client
-                .verify_batch_impl(&queries, &back, None, None)
+                .verify(&queries, &back)
                 .unwrap_or_else(|e| panic!("{}: {e}", method.name()));
             for (w, g) in want.iter().zip(&got) {
                 assert_eq!(w.to_bits(), g.to_bits(), "{}", method.name());
@@ -854,26 +771,30 @@ mod tests {
 
     #[test]
     fn bad_sp_tag_rejected() {
-        let (answer, _) = answers_for(MethodConfig::Dij);
-        let mut bytes = encode_answer(&answer);
-        // The ΓS tag byte sits right after the version byte + path
-        // block.
-        let tag_pos = 1 + 4 + answer.path.nodes.len() * 4 + 8;
-        bytes[tag_pos] = 99;
-        assert!(matches!(
-            decode_answer(&bytes),
-            Err(DecodeError::BadTag(99))
-        ));
+        // The method's ΓS shape tag opens the trailing aux block.
+        for method in all_methods() {
+            let (answer, _) = answers_for(method.clone());
+            let mut bytes = encode_batch_answer(&answer);
+            let mut aux = Encoder::new();
+            put_batch_aux(&mut aux, &answer.aux);
+            let tag_pos = bytes.len() - aux.len();
+            bytes[tag_pos] = 99;
+            assert!(
+                matches!(decode_batch_answer(&bytes), Err(DecodeError::BadTag(99))),
+                "{}",
+                method.name()
+            );
+        }
     }
 
     #[test]
     fn wrong_version_byte_rejected_with_typed_error() {
         let (answer, _) = answers_for(MethodConfig::Dij);
-        let mut bytes = encode_answer(&answer);
+        let mut bytes = encode_batch_answer(&answer);
         assert_eq!(bytes[0], WIRE_VERSION);
         bytes[0] = WIRE_VERSION + 1;
         assert_eq!(
-            decode_answer(&bytes),
+            decode_batch_answer(&bytes),
             Err(DecodeError::UnsupportedVersion(WIRE_VERSION + 1))
         );
         let (_, batch, _) = batch_for(MethodConfig::Dij);

@@ -1,9 +1,9 @@
 //! Bidirectional Dijkstra \[24\]: simultaneous forward and backward
 //! expansion, meeting in the middle.
 //!
-//! One of the `algosp` choices available to the service provider
-//! (Algorithm 1, Line 1) — the verification framework is agnostic to
-//! how the provider computes the path.
+//! An alternative `algosp` (Algorithm 1, Line 1) — the verification
+//! framework is agnostic to how the provider computes the path, so the
+//! client accepts any shortest path it finds.
 //!
 //! Runs on this thread's reused pair of
 //! [`SearchWorkspace`](crate::search::SearchWorkspace)s (one per

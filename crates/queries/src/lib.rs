@@ -45,7 +45,7 @@
 //!     DataOwner::publish_with_key(&graph, &MethodConfig::Dij, &SetupConfig::default(), &keypair);
 //! let pois = PoiSet::publish(&keypair, &[(NodeId(9), 1.0), (NodeId(54), 2.0)]).unwrap();
 //!
-//! let service = SpService::new(published.package);
+//! let service = SpService::builder().package(published.package).build();
 //! let session = service.open_session(Client::new(published.public_key)).unwrap();
 //! let nearest = session.query_knn(&pois, NodeId(0), 1).unwrap();
 //! assert_eq!(nearest.len(), 1);

@@ -121,7 +121,11 @@ mod tests {
             &[(NodeId(7), 1.0), (NodeId(30), 2.0), (NodeId(63), 3.0)],
         )
         .unwrap();
-        (SpService::new(p.package), keypair, pois)
+        (
+            SpService::builder().package(p.package).build(),
+            keypair,
+            pois,
+        )
     }
 
     #[test]

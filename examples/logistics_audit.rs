@@ -46,18 +46,18 @@ fn main() {
     let mut honest_ok = 0usize;
     let mut fraud_caught = 0usize;
     let mut overcharge = 0.0f64;
-    for (i, &(from, to)) in deliveries.pairs.iter().enumerate() {
-        let honest = provider.answer(from, to).expect("reachable");
+    for (i, invoice) in deliveries.pairs.chunks(1).enumerate() {
+        let honest = provider.answer(invoice).expect("reachable");
         // Provider A: honest.
         auditor
-            .verify(from, to, &honest)
+            .verify(invoice, &honest)
             .expect("honest invoice verifies");
         honest_ok += 1;
         // Provider B: returns a detour on every 3rd delivery.
         if i % 3 == 0 {
             if let Some(padded) = apply(Attack::SuboptimalPath, &graph, &honest) {
-                let delta = padded.path.distance - honest.path.distance;
-                match auditor.verify(from, to, &padded) {
+                let delta = padded.queries[0].path.distance - honest.queries[0].path.distance;
+                match auditor.verify(invoice, &padded) {
                     Err(e) => {
                         fraud_caught += 1;
                         overcharge += delta;

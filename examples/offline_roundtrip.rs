@@ -9,7 +9,7 @@
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 use spnet_core::prelude::*;
-use spnet_core::wire::{decode_answer, encode_answer};
+use spnet_core::wire::{decode_batch_answer, encode_batch_answer};
 use spnet_graph::gen::Dataset;
 use spnet_graph::io::{load_graph, save_graph};
 use spnet_graph::NodeId;
@@ -44,11 +44,13 @@ fn main() {
         published.construction_seconds
     );
 
-    // 3. The provider answers; the answer travels as bytes.
+    // 3. The provider answers (a single query is a batch of one); the
+    //    answer travels as bytes.
     let provider = ServiceProvider::new(published.package);
-    let (vs, vt) = (NodeId(3), NodeId(reloaded.num_nodes() as u32 - 2));
-    let answer = provider.answer(vs, vt).expect("reachable");
-    let bytes = encode_answer(&answer);
+    let query = [(NodeId(3), NodeId(reloaded.num_nodes() as u32 - 2))];
+    let (vs, vt) = query[0];
+    let answer = provider.answer(&query).expect("reachable");
+    let bytes = encode_batch_answer(&answer);
     let answer_file = dir.join("answer.bin");
     std::fs::write(&answer_file, &bytes).expect("write answer");
     println!(
@@ -61,24 +63,24 @@ fn main() {
 
     // 4. The client reads the bytes and verifies.
     let received = std::fs::read(&answer_file).expect("read answer");
-    let decoded = decode_answer(&received).expect("well-formed answer");
+    let decoded = decode_batch_answer(&received).expect("well-formed answer");
     let client = Client::new(published.public_key);
-    let verified = client
-        .verify(vs, vt, &decoded)
+    let distances = client
+        .verify(&query, &decoded)
         .expect("authentic & shortest");
     println!(
         "client: ✔ decoded {} bytes, verified shortest path of distance {:.1} ({} hops)",
         received.len(),
-        verified.distance,
-        decoded.path.num_edges()
+        distances[0],
+        decoded.queries[0].path.num_edges()
     );
 
     // 5. A flipped byte anywhere must not verify.
     let mut corrupted = received.clone();
     corrupted[received.len() / 2] ^= 0x40;
-    match decode_answer(&corrupted) {
+    match decode_batch_answer(&corrupted) {
         Err(e) => println!("client: corrupted transmission rejected at decode — {e}"),
-        Ok(bad) => match client.verify(vs, vt, &bad) {
+        Ok(bad) => match client.verify(&query, &bad) {
             Err(e) => println!("client: corrupted transmission rejected at verify — {e}"),
             Ok(_) => unreachable!("corruption must not verify"),
         },

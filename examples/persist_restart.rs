@@ -11,7 +11,7 @@ use rand::rngs::StdRng;
 use rand::SeedableRng;
 use spnet_core::owner::ProviderPackage;
 use spnet_core::prelude::*;
-use spnet_core::wire::encode_answer;
+use spnet_core::wire::encode_batch_answer;
 use spnet_graph::gen::Dataset;
 use spnet_graph::NodeId;
 
@@ -68,8 +68,8 @@ fn main() {
     let fresh = ServiceProvider::new(published.package);
     let cold = ServiceProvider::new(loaded.package);
     let (vs, vt) = (NodeId(3), NodeId(graph.num_nodes() as u32 - 2));
-    let fresh_bytes = encode_answer(&fresh.answer(vs, vt).expect("reachable"));
-    let cold_bytes = encode_answer(&cold.answer(vs, vt).expect("reachable"));
+    let fresh_bytes = encode_batch_answer(&fresh.answer(&[(vs, vt)]).expect("reachable"));
+    let cold_bytes = encode_batch_answer(&cold.answer(&[(vs, vt)]).expect("reachable"));
     assert_eq!(fresh_bytes, cold_bytes, "cold answers must be byte-equal");
     println!(
         "provider: {} → {} answered from disk; {} bytes, {} pages faulted so far",
@@ -83,11 +83,11 @@ fn main() {
     //    original publication — the restart is invisible to it.
     let client = Client::new(published.public_key);
     let verified = client
-        .verify(vs, vt, &cold.answer(vs, vt).expect("reachable"))
+        .verify(&[(vs, vt)], &cold.answer(&[(vs, vt)]).expect("reachable"))
         .expect("authentic & shortest");
     println!(
         "client: ✔ verified shortest path of distance {:.1} against the original signed root",
-        verified.distance
+        verified[0]
     );
 
     std::fs::remove_dir_all(&dir).ok();

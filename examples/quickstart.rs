@@ -40,7 +40,7 @@ fn main() {
     // 3. The (untrusted) service provider runs behind the facade; the
     //    client opens a session, authenticating the signed epoch root
     //    and method params exactly once.
-    let service = SpService::new(published.package);
+    let service = SpService::builder().package(published.package).build();
     let session = service
         .open_session(Client::new(published.public_key))
         .expect("owner-signed epoch authenticates");
@@ -50,9 +50,12 @@ fn main() {
         session.method_name()
     );
 
-    // 4. A verified single query.
+    // 4. A verified single query: a batch of one.
     let (vs, vt) = (NodeId(0), NodeId(399));
-    let answer = session.query(vs, vt).expect("connected network");
+    let answer = session
+        .query_batch(&[(vs, vt)])
+        .expect("connected network")
+        .remove(0);
     println!(
         "client: ✔ verified shortest path, {} edges, distance {:.1}",
         answer.path.num_edges(),
@@ -83,8 +86,9 @@ fn main() {
         .expect("in-place incremental repair");
     println!("owner: edge ({u}, {v}) re-weighted; epoch now {epoch}");
     let pinned = session
-        .query(vs, vt)
-        .expect("pinned session drains on its epoch");
+        .query_batch(&[(vs, vt)])
+        .expect("pinned session drains on its epoch")
+        .remove(0);
     println!(
         "client: ✔ pinned session (epoch {}) still serves its root, distance {:.1}",
         session.epoch(),
@@ -93,7 +97,10 @@ fn main() {
     let fresh = service
         .open_session(Client::new(keypair.public_key().clone()))
         .expect("new epoch authenticates");
-    let again = fresh.query(vs, vt).expect("fresh session serves");
+    let again = fresh
+        .query_batch(&[(vs, vt)])
+        .expect("fresh session serves")
+        .remove(0);
     println!(
         "client: ✔ new session at epoch {}, distance {:.1}",
         fresh.epoch(),

@@ -15,7 +15,8 @@ use spnet_graph::NodeId;
 
 fn main() {
     let graph = grid_network(12, 12, 1.25, 321);
-    let (vs, vt) = (NodeId(0), NodeId(143));
+    // One query: a batch of one, the shape every answer takes.
+    let query = [(NodeId(0), NodeId(143))];
     let methods = vec![
         MethodConfig::Dij,
         MethodConfig::Full {
@@ -33,18 +34,18 @@ fn main() {
         let published = DataOwner::publish(&graph, &method, &SetupConfig::default(), &mut rng);
         let provider = ServiceProvider::new(published.package);
         let client = Client::new(published.public_key);
-        let honest = provider.answer(vs, vt).unwrap();
-        let verified = client.verify(vs, vt, &honest).expect("honest verifies");
+        let honest = provider.answer(&query).unwrap();
+        let distances = client.verify(&query, &honest).expect("honest verifies");
         println!(
             "\n=== {} ===  honest answer: distance {:.1}, proof {:.1} KB — accepted",
             method.name(),
-            verified.distance,
+            distances[0],
             honest.stats().total_kbytes()
         );
         for attack in ALL_ATTACKS {
             match apply(attack, &graph, &honest) {
                 None => println!("  {attack:?}: not expressible for this answer"),
-                Some(evil) => match client.verify(vs, vt, &evil) {
+                Some(evil) => match client.verify(&query, &evil) {
                     Err(e) => println!("  {attack:?}: rejected — {e}"),
                     Ok(_) => println!("  {attack:?}: !!! ACCEPTED (protocol failure) !!!"),
                 },

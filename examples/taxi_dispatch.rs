@@ -45,22 +45,24 @@ fn main() {
     let rides = make_workload(&graph, 2500.0, 12, 101);
     let mut total_kb = 0.0;
     let mut total_distance = 0.0;
-    for (i, &(pickup, dest)) in rides.pairs.iter().enumerate() {
-        let answer = provider.answer(pickup, dest).expect("reachable");
-        let client = Client::new(client_key.clone());
-        let verified = client
-            .verify(pickup, dest, &answer)
-            .expect("authority-signed route verifies");
+    let client = Client::new(client_key);
+    for (i, ride) in rides.pairs.chunks(1).enumerate() {
+        // Each driver asks for one route: a batch of one.
+        let answer = provider.answer(ride).expect("reachable");
+        let distance = client
+            .verify(ride, &answer)
+            .expect("authority-signed route verifies")[0];
         let kb = answer.stats().total_kbytes();
         total_kb += kb;
-        total_distance += verified.distance;
+        total_distance += distance;
+        let (pickup, dest) = ride[0];
         println!(
             "ride {:>2}: {} → {} | {:>2} segments | dist {:>7.1} | proof {:>6.2} KB",
             i + 1,
             pickup,
             dest,
-            answer.path.num_edges(),
-            verified.distance,
+            answer.queries[0].path.num_edges(),
+            distance,
             kb
         );
     }
@@ -73,11 +75,10 @@ fn main() {
 
     // A driver going off-book: pick a random ride and fabricate a 10%
     // shorter fare — verification must catch it.
-    let &(pickup, dest) = &rides.pairs[rng.random_range(0..rides.pairs.len())];
-    let mut fake = provider.answer(pickup, dest).unwrap();
-    fake.path.distance *= 0.9;
-    let client = Client::new(client_key);
-    match client.verify(pickup, dest, &fake) {
+    let ride = [rides.pairs[rng.random_range(0..rides.pairs.len())]];
+    let mut fake = provider.answer(&ride).unwrap();
+    fake.queries[0].path.distance *= 0.9;
+    match client.verify(&ride, &fake) {
         Err(e) => println!("fare fraud attempt rejected: {e}"),
         Ok(_) => unreachable!("understated fare must not verify"),
     }

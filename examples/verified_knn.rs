@@ -40,7 +40,7 @@ fn main() {
     );
 
     // A client session asks for the 3 nearest, through the wire.
-    let service = SpService::new(published.package);
+    let service = SpService::builder().package(published.package).build();
     let session = service
         .open_session(Client::new(published.public_key))
         .unwrap();

@@ -59,9 +59,9 @@ fn all_methods_prove_identical_optima() {
     for &(s, t) in &workload.pairs {
         let mut distances = Vec::new();
         for d in &deployments {
-            let answer = d.provider.answer(s, t).unwrap();
-            let v = d.client.verify(s, t, &answer).unwrap();
-            distances.push((d.name, v.distance));
+            let answer = d.provider.answer(&[(s, t)]).unwrap();
+            let v = d.client.verify(&[(s, t)], &answer).unwrap();
+            distances.push((d.name, v[0]));
         }
         let base = distances[0].1;
         for &(name, dist) in &distances[1..] {
@@ -87,7 +87,7 @@ fn proof_size_ranking_matches_figure8() {
     for d in &deployments {
         let mut acc = ProofStats::default();
         for &(s, t) in &workload.pairs {
-            acc.add(&d.provider.answer(s, t).unwrap().stats());
+            acc.add(&d.provider.answer(&[(s, t)]).unwrap().stats());
         }
         sizes.push((d.name, acc.scale_down(workload.pairs.len())));
     }
@@ -104,8 +104,8 @@ fn answers_are_deterministic() {
     let g = grid_network(10, 10, 1.15, 3007);
     let deployments = deploy(&g, 3008);
     for d in &deployments {
-        let a1 = d.provider.answer(NodeId(0), NodeId(99)).unwrap();
-        let a2 = d.provider.answer(NodeId(0), NodeId(99)).unwrap();
+        let a1 = d.provider.answer(&[(NodeId(0), NodeId(99))]).unwrap();
+        let a2 = d.provider.answer(&[(NodeId(0), NodeId(99))]).unwrap();
         assert_eq!(a1, a2, "{} answers must be deterministic", d.name);
     }
 }
@@ -119,7 +119,7 @@ fn stats_decompose_into_s_and_t_parts() {
     let s = NodeId(65);
     let t = spnet_graph::Graph::neighbors(&g, s).next().unwrap().0;
     for d in &deployments {
-        let a = d.provider.answer(s, t).unwrap();
+        let a = d.provider.answer(&[(s, t)]).unwrap();
         let st = a.stats();
         assert_eq!(st.total_bytes(), st.s_bytes + st.t_bytes + st.path_bytes);
         assert!(st.s_items > 0, "{}", d.name);

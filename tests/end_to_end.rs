@@ -34,17 +34,17 @@ fn run_workload(g: &Graph, method: &MethodConfig, setup: &SetupConfig, seed: u64
     let provider = ServiceProvider::new(p.package);
     let workload = make_workload(g, 3000.0, queries, seed ^ 9);
     for &(s, t) in &workload.pairs {
-        let answer = provider.answer(s, t).unwrap();
+        let answer = provider.answer(&[(s, t)]).unwrap();
         let v = client
-            .verify(s, t, &answer)
+            .verify(&[(s, t)], &answer)
             .unwrap_or_else(|e| panic!("{} ({s},{t}): {e}", method.name()));
         // The verified optimum must equal the true shortest distance.
         let truth = dijkstra_path(g, s, t).unwrap().distance;
         assert!(
-            (v.distance - truth).abs() <= 1e-6 * truth.max(1.0),
+            (v[0] - truth).abs() <= 1e-6 * truth.max(1.0),
             "{} ({s},{t}): verified {} vs true {}",
             method.name(),
-            v.distance,
+            v[0],
             truth
         );
     }
@@ -101,10 +101,10 @@ fn adjacent_and_identical_queries() {
         // Adjacent nodes: single-edge path.
         let s = NodeId(0);
         let t = g.neighbors(s).next().unwrap().0;
-        let a = provider.answer(s, t).unwrap();
-        let v = client.verify(s, t, &a).unwrap();
-        assert!(v.distance > 0.0);
-        assert_eq!(a.path.num_edges(), 1, "{}", method.name());
+        let a = provider.answer(&[(s, t)]).unwrap();
+        let v = client.verify(&[(s, t)], &a).unwrap();
+        assert!(v[0] > 0.0);
+        assert_eq!(a.queries[0].path.num_edges(), 1, "{}", method.name());
     }
 }
 
@@ -123,13 +123,16 @@ fn long_range_queries_cross_many_cells() {
     let client = Client::new(p.public_key);
     let provider = ServiceProvider::new(p.package);
     let (s, t) = (NodeId(0), NodeId(255)); // opposite corners
-    let answer = provider.answer(s, t).unwrap();
-    let v = client.verify(s, t, &answer).unwrap();
+    let answer = provider.answer(&[(s, t)]).unwrap();
+    let v = client.verify(&[(s, t)], &answer).unwrap();
     let truth = dijkstra_path(&g, s, t).unwrap().distance;
-    assert!((v.distance - truth).abs() <= 1e-6 * truth);
-    // The path crosses many cells, so extra (fine) tuples must exist.
+    assert!((v[0] - truth).abs() <= 1e-6 * truth);
+    // The path crosses many cells, so fine tuples outside the source
+    // and target cells must be pooled.
+    let cell = |v: NodeId| answer.pool.iter().find(|tp| tp.id == v).unwrap().cell;
+    let (cs, ct) = (cell(s), cell(t));
     assert!(
-        !answer.sp.extra_tuples().is_empty(),
+        answer.pool.iter().any(|tp| tp.cell != cs && tp.cell != ct),
         "corner-to-corner path should traverse intermediate cells"
     );
 }

@@ -5,8 +5,9 @@
 //!    reference implementation, across random geometric and grid
 //!    graphs, radii, and interleaved reuse.
 //! 2. Batched proving/verification — which fans out over threads when
-//!    the default `parallel` feature is on — agrees exactly with the
-//!    single-query protocol path. (CI additionally runs this file with
+//!    the default `parallel` feature is on — agrees exactly with
+//!    proving and verifying each query as a batch of one. (CI
+//!    additionally runs this file with
 //!    `--no-default-features`, so parallel and sequential builds are
 //!    both pinned to the same observable results.)
 //! 3. The calibrated bucket-queue frontier introduced for million-node
@@ -21,7 +22,7 @@ use rand::SeedableRng;
 use spnet_core::methods::{LdmConfig, MethodConfig};
 use spnet_core::owner::{DataOwner, SetupConfig};
 use spnet_core::provider::ServiceProvider;
-use spnet_core::{Client, SpService};
+use spnet_core::Client;
 use spnet_graph::algo::dijkstra::reference;
 use spnet_graph::gen::{grid_network, random_geometric, scale_free};
 use spnet_graph::search::SearchWorkspace;
@@ -197,8 +198,9 @@ proptest! {
         }
     }
 
-    /// The batch path (parallel by default) proves and verifies exactly
-    /// what the single-query path does — for **all four methods**.
+    /// A k-query batch (parallel by default) proves and verifies
+    /// exactly what k batches of one do — paths, Γ and distances, bit
+    /// for bit — for **all four methods**.
     #[test]
     fn batch_agrees_with_single_query_path(seed in 0u64..400, method_idx in 0usize..4) {
         let method = match method_idx {
@@ -218,45 +220,24 @@ proptest! {
             (NodeId(21), NodeId(27)),
             (NodeId(48), NodeId(0)),
         ];
-        let singles: Vec<_> = queries
-            .iter()
-            .map(|&(s, t)| provider.answer(s, t).unwrap())
-            .collect();
-        // Batch halves go through the session facade — the only batch
-        // entry point since the raw ones were removed.
-        let service = SpService::with_provider(provider);
-        let session = service.open_session(client.clone()).unwrap();
-        let b1 = session.answer_batch(&queries).unwrap();
-        let b2 = session.answer_batch(&queries).unwrap();
+        let b1 = provider.answer(&queries).unwrap();
+        let b2 = provider.answer(&queries).unwrap();
         prop_assert_eq!(&b1, &b2, "batch answers must be deterministic");
-        let batched = session.verify_batch(&queries, &b1).unwrap();
-        for (qi, (&(s, t), &bd)) in queries.iter().zip(&batched).enumerate() {
-            let single = &singles[qi];
-            let v = client.verify(s, t, single).unwrap();
-            prop_assert_eq!(
-                v.distance.to_bits(), bd.to_bits(),
-                "{} ({}, {})", method.name(), s, t
-            );
-            // The batch pool must contain exactly the single answer's
-            // tuples for this query (same Γ either way; HYP ships two
-            // tuple lists, FULL only the reported path's).
-            let mut single_ids: Vec<NodeId> = single
-                .sp
-                .tuples()
-                .iter()
-                .chain(single.sp.extra_tuples())
-                .map(|tu| tu.id)
-                .collect();
-            single_ids.sort();
-            single_ids.dedup();
-            let mut batch_ids: Vec<NodeId> = b1.queries[qi]
+        let batched = client.verify(&queries, &b1).unwrap();
+        for (qi, (&q, &bd)) in queries.iter().zip(&batched).enumerate() {
+            let single = provider.answer(&[q]).unwrap();
+            let sd = client.verify(&[q], &single).unwrap()[0];
+            prop_assert_eq!(sd.to_bits(), bd.to_bits(), "{} {:?}", method.name(), q);
+            prop_assert_eq!(&single.queries[0].path, &b1.queries[qi].path);
+            // The batch pool slice of this query is exactly the batch
+            // of one's pool (same Γ either way).
+            let single_ids: Vec<NodeId> = single.pool.iter().map(|tu| tu.id).collect();
+            let batch_ids: Vec<NodeId> = b1.queries[qi]
                 .members
                 .iter()
                 .map(|&i| b1.pool[i as usize].id)
                 .collect();
-            batch_ids.sort();
-            batch_ids.dedup();
-            prop_assert_eq!(batch_ids, single_ids, "{} ({}, {})", method.name(), s, t);
+            prop_assert_eq!(batch_ids, single_ids, "{} {:?}", method.name(), q);
         }
     }
 }

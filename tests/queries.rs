@@ -62,7 +62,9 @@ fn deploy(method: &MethodConfig, seed: u64) -> Deployment {
 }
 
 fn open(dep: &Deployment) -> Session {
-    SpService::new(dep.published.package.clone())
+    SpService::builder()
+        .package(dep.published.package.clone())
+        .build()
         .open_session(Client::new(dep.published.public_key.clone()))
         .unwrap()
 }
@@ -280,7 +282,9 @@ fn backends_serve_bit_identical_query_results() {
         for backend in [StoreBackend::Mem, StoreBackend::File] {
             let loaded = ProviderPackage::load_snapshot(&dir, backend).unwrap();
             let (pois, _store) = PoiSet::load(&dir, backend).unwrap();
-            let session = SpService::new(loaded.package)
+            let session = SpService::builder()
+                .package(loaded.package)
+                .build()
                 .open_session(Client::new(dep.published.public_key.clone()))
                 .unwrap();
             let got_range = session.query_range(source, radius).unwrap();
@@ -327,7 +331,7 @@ proptest! {
             DataOwner::publish_with_key(&graph, &method, &SetupConfig::default(), &keypair);
         let poi_items = [(NodeId(3), 1.0), (NodeId(20), 2.0), (NodeId(35), 3.0)];
         let pois = PoiSet::publish(&keypair, &poi_items).unwrap();
-        let session = SpService::new(published.package)
+        let session = SpService::builder().package(published.package).build()
             .open_session(Client::new(published.public_key))
             .unwrap();
         let source = NodeId(src);

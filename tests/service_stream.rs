@@ -48,7 +48,12 @@ fn deploy_service(method: &MethodConfig, seed: u64) -> (Graph, SpService, Client
     let mut rng = StdRng::seed_from_u64(seed ^ 0x5E55);
     let kp = RsaKeyPair::generate(&mut rng, 256);
     let p = DataOwner::publish_with_key(&g, method, &SetupConfig::default(), &kp);
-    (g, SpService::new(p.package), Client::new(p.public_key), kp)
+    (
+        g,
+        SpService::builder().package(p.package).build(),
+        Client::new(p.public_key),
+        kp,
+    )
 }
 
 const QUERIES: [(u32, u32); 5] = [(0, 63), (1, 62), (0, 31), (7, 56), (8, 55)];
@@ -78,22 +83,22 @@ proptest! {
         let p = DataOwner::publish(&g, &method, &SetupConfig::default(), &mut rng);
         let client = Client::new(p.public_key);
         let provider = ServiceProvider::new(p.package.clone());
-        let service = SpService::new(p.package);
+        let service = SpService::builder().package(p.package).build();
         let session = service.open_session(client.clone()).unwrap();
 
         let (s, t) = (NodeId(s), NodeId(t));
-        let direct_answer = provider.answer(s, t).unwrap();
-        let direct = client.verify(s, t, &direct_answer).unwrap();
-        let via_session = session.query(s, t).unwrap();
+        let direct_answer = provider.answer(&[(s, t)]).unwrap();
+        let direct = client.verify(&[(s, t)], &direct_answer).unwrap();
+        let via_session = session.query_batch(&[(s, t)]).unwrap().remove(0);
         prop_assert_eq!(
             via_session.distance.to_bits(),
-            direct.distance.to_bits(),
+            direct[0].to_bits(),
             "facade ≡ direct roles ({})", method.name()
         );
-        prop_assert_eq!(&via_session.path, &direct_answer.path);
+        prop_assert_eq!(&via_session.path, &direct_answer.queries[0].path);
         // And batch-of-one through the facade agrees too.
         let batched = session.query_batch(&[(s, t)]).unwrap();
-        prop_assert_eq!(batched[0].distance.to_bits(), direct.distance.to_bits());
+        prop_assert_eq!(batched[0].distance.to_bits(), direct[0].to_bits());
     }
 
     /// Stream ≡ batch ≡ sequential, bit-for-bit, under arbitrary chunk
@@ -110,7 +115,7 @@ proptest! {
         // Sequential.
         let sequential: Vec<f64> = qs
             .iter()
-            .map(|&(s, t)| client.verify(s, t, &provider.answer(s, t).unwrap()).unwrap().distance)
+            .map(|&(s, t)| client.verify(&[(s, t)], &provider.answer(&[(s, t)]).unwrap()).unwrap()[0])
             .collect();
         // Streamed (through the encoded frames).
         let mut verifier = StreamVerifier::new(&client, &qs);
@@ -123,7 +128,7 @@ proptest! {
         verifier.finish().unwrap();
         // Batched — through the session facade, the only batch entry
         // point since the raw ones were removed.
-        let service = SpService::with_provider(provider);
+        let service = SpService::builder().package(provider.package().clone()).build();
         let session = service.open_session(client.clone()).unwrap();
         let batch = session.answer_batch(&qs).unwrap();
         let batched = session.verify_batch(&qs, &batch).unwrap();
@@ -192,11 +197,11 @@ fn sessions_reject_tampered_streams_for_every_method() {
                             for it in items {
                                 let (s, t) = qs[it.index];
                                 let honest = client
-                                    .verify(s, t, &provider.answer(s, t).unwrap())
+                                    .verify(&[(s, t)], &provider.answer(&[(s, t)]).unwrap())
                                     .unwrap();
                                 assert_eq!(
                                     it.distance.to_bits(),
-                                    honest.distance.to_bits(),
+                                    honest[0].to_bits(),
                                     "{}: accepted a wrong distance",
                                     method.name()
                                 );
@@ -286,7 +291,7 @@ fn epoch_eviction_is_loud_for_every_method() {
         strict.update_edge_weight(&kp, u, v, w * 2.0).unwrap();
         assert!(
             matches!(
-                session.query(NodeId(0), NodeId(63)),
+                session.query_batch(&[(NodeId(0), NodeId(63))]),
                 Err(SessionError::EpochInvalidated {
                     opened: 0,
                     current: 1
@@ -296,15 +301,17 @@ fn epoch_eviction_is_loud_for_every_method() {
             method.name()
         );
 
-        let mvcc = SpService::new(p.package);
+        let mvcc = SpService::builder().package(p.package).build();
         let session = mvcc.open_session(client).unwrap();
         mvcc.update_edge_weight(&kp, u, v, w * 3.0).unwrap();
-        session.query(NodeId(0), NodeId(63)).unwrap_or_else(|e| {
-            panic!(
-                "{}: pinned session must survive the update: {e}",
-                method.name()
-            )
-        });
+        session
+            .query_batch(&[(NodeId(0), NodeId(63))])
+            .unwrap_or_else(|e| {
+                panic!(
+                    "{}: pinned session must survive the update: {e}",
+                    method.name()
+                )
+            });
     }
 }
 
@@ -344,7 +351,7 @@ fn facade_distances_are_true_optima() {
         let session = service.open_session(client).unwrap();
         for &(s, t) in &QUERIES {
             let (s, t) = (NodeId(s), NodeId(t));
-            let a = session.query(s, t).unwrap();
+            let a = session.query_batch(&[(s, t)]).unwrap().remove(0);
             let truth = dijkstra_path(&g, s, t).unwrap().distance;
             assert!(
                 (a.distance - truth).abs() <= 1e-6 * truth.max(1.0),

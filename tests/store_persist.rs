@@ -77,15 +77,17 @@ fn cold_start_signs_nothing_and_serves_byte_equal() {
             assert_eq!(loaded.public_key, p.public_key);
             let cold = ServiceProvider::new(loaded.package);
             for &(s, t) in &queries {
-                let want = spnet_core::wire::encode_answer(&fresh.answer(s, t).unwrap());
-                let got = spnet_core::wire::encode_answer(&cold.answer(s, t).unwrap());
+                let want = spnet_core::wire::encode_batch_answer(&fresh.answer(&[(s, t)]).unwrap());
+                let got = spnet_core::wire::encode_batch_answer(&cold.answer(&[(s, t)]).unwrap());
                 assert_eq!(got, want, "{} {backend:?} answer bytes", method.name());
             }
             // The original clients' key verifies the cold answers.
             let client = Client::new(p.public_key.clone());
             let (s, t) = queries[0];
-            let v = client.verify(s, t, &cold.answer(s, t).unwrap()).unwrap();
-            assert!(v.distance > 0.0);
+            let v = client
+                .verify(&[(s, t)], &cold.answer(&[(s, t)]).unwrap())
+                .unwrap();
+            assert!(v[0] > 0.0);
         }
         std::fs::remove_dir_all(&dir).ok();
     }
@@ -108,7 +110,7 @@ fn file_backend_faults_pages_lazily() {
     assert!(loaded.store.is_lazy());
     let after_open = loaded.store.fault_count();
     let provider = ServiceProvider::new(loaded.package);
-    provider.answer(NodeId(0), NodeId(80)).unwrap();
+    provider.answer(&[(NodeId(0), NodeId(80))]).unwrap();
     assert!(
         loaded.store.fault_count() > after_open,
         "a proof must fault tree pages in"
@@ -238,8 +240,14 @@ fn replica_bootstraps_from_chunked_snapshot() {
     let s2 = replica
         .open_session(Client::new(p.public_key.clone()))
         .unwrap();
-    let a = s1.query(NodeId(0), NodeId(80)).unwrap();
-    let b = s2.query(NodeId(0), NodeId(80)).unwrap();
+    let a = s1
+        .query_batch(&[(NodeId(0), NodeId(80))])
+        .unwrap()
+        .remove(0);
+    let b = s2
+        .query_batch(&[(NodeId(0), NodeId(80))])
+        .unwrap()
+        .remove(0);
     assert_eq!(a.distance.to_bits(), b.distance.to_bits());
 
     // A flipped payload byte fails the whole-file checksum at End.
@@ -259,7 +267,9 @@ fn replica_bootstraps_from_chunked_snapshot() {
         .is_err());
 
     // Shards not built from a snapshot have nothing to export.
-    let plain = SpService::new(publish(&MethodConfig::Dij, 941).package);
+    let plain = SpService::builder()
+        .package(publish(&MethodConfig::Dij, 941).package)
+        .build();
     assert!(plain.export_chunks(0, 4096).is_err());
     assert!(service.export_chunks(7, 4096).is_err(), "no such shard");
 
@@ -278,7 +288,9 @@ fn fuzz_fixture() -> &'static (PathBuf, Vec<u8>, Vec<u8>) {
         let path = p.save_snapshot(&dir).unwrap();
         let bytes = std::fs::read(&path).unwrap();
         let fresh = ServiceProvider::new(p.package);
-        let want = spnet_core::wire::encode_answer(&fresh.answer(NodeId(0), NodeId(80)).unwrap());
+        let want = spnet_core::wire::encode_batch_answer(
+            &fresh.answer(&[(NodeId(0), NodeId(80))]).unwrap(),
+        );
         (dir, bytes, want)
     })
 }
@@ -306,12 +318,12 @@ proptest! {
         let backend = if backend_pick == 1 { StoreBackend::File } else { StoreBackend::Mem };
         if let Ok(loaded) = ProviderPackage::load_snapshot(dir, backend) {
             let provider = ServiceProvider::new(loaded.package);
-            match provider.answer(NodeId(0), NodeId(80)) {
+            match provider.answer(&[(NodeId(0), NodeId(80))]) {
                 // Lazy backend: the corrupt page faulted during the
                 // proof and surfaced as a typed provider error.
                 Err(_) => {}
                 Ok(a) => {
-                    let got = spnet_core::wire::encode_answer(&a);
+                    let got = spnet_core::wire::encode_batch_answer(&a);
                     prop_assert_eq!(&got, want, "flip at byte {} bit {} served different bytes", pos, bit);
                 }
             }

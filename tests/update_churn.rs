@@ -112,11 +112,11 @@ fn update_sequences_match_fresh_publish_bit_for_bit() {
             let provider = ServiceProvider::new(pkg);
             for &(s, t) in &PROBES {
                 let (s, t) = (NodeId(s), NodeId(t));
-                let a = provider.answer(s, t).unwrap();
-                let v = client.verify(s, t, &a).unwrap();
+                let a = provider.answer(&[(s, t)]).unwrap();
+                let v = client.verify(&[(s, t)], &a).unwrap();
                 let want = dijkstra_path(&truth, s, t).unwrap().distance;
                 assert!(
-                    (v.distance - want).abs() <= 1e-6 * want.max(1.0),
+                    (v[0] - want).abs() <= 1e-6 * want.max(1.0),
                     "{}: updated provider must serve the new truth",
                     method.name()
                 );
@@ -184,11 +184,11 @@ fn incremental_snapshot_refresh_round_trips_both_backends() {
             let provider = ServiceProvider::new(loaded.package);
             for &(s, t) in &PROBES {
                 let (s, t) = (NodeId(s), NodeId(t));
-                let a = provider.answer(s, t).unwrap();
-                let v = client.verify(s, t, &a).unwrap();
+                let a = provider.answer(&[(s, t)]).unwrap();
+                let v = client.verify(&[(s, t)], &a).unwrap();
                 let want = dijkstra_path(&truth, s, t).unwrap().distance;
                 assert!(
-                    (v.distance - want).abs() <= 1e-6 * want.max(1.0),
+                    (v[0] - want).abs() <= 1e-6 * want.max(1.0),
                     "{}: reloaded provider serves the updated truth",
                     method.name()
                 );
@@ -237,7 +237,7 @@ fn sessions_survive_updates_on_their_pinned_epoch() {
         RsaKeyPair::generate(&mut rng, 256)
     };
     let p = DataOwner::publish_with_key(&g, &MethodConfig::Dij, &SetupConfig::default(), &kp);
-    let service = SpService::new(p.package);
+    let service = SpService::builder().package(p.package).build();
     let client = Client::new(kp.public_key().clone());
 
     let old_truth = dijkstra_path(&g, NodeId(0), NodeId(80)).unwrap().distance;
@@ -264,7 +264,10 @@ fn sessions_survive_updates_on_their_pinned_epoch() {
         .collect();
     assert_eq!(first.len() + rest.len(), queries.len());
     // ...still answering with the pre-update truth.
-    let a = pinned.query(NodeId(0), NodeId(80)).unwrap();
+    let a = pinned
+        .query_batch(&[(NodeId(0), NodeId(80))])
+        .unwrap()
+        .remove(0);
     assert_eq!(a.distance.to_bits(), old_truth.to_bits());
 
     // A post-update session binds epoch 1 and the new truth.
@@ -274,7 +277,10 @@ fn sessions_survive_updates_on_their_pinned_epoch() {
     assert!((new_truth - old_truth).abs() > 1e-9);
     let fresh = service.open_session(client).unwrap();
     assert_eq!(fresh.epoch(), 1);
-    let b = fresh.query(NodeId(0), NodeId(80)).unwrap();
+    let b = fresh
+        .query_batch(&[(NodeId(0), NodeId(80))])
+        .unwrap()
+        .remove(0);
     assert_eq!(b.distance.to_bits(), new_truth.to_bits());
 }
 
@@ -315,7 +321,10 @@ fn service_refreshes_snapshot_after_update() {
     let mut g2 = g.clone();
     g2.set_edge_weight(u, v, 500.0).unwrap();
     let want = dijkstra_path(&g2, NodeId(0), NodeId(80)).unwrap().distance;
-    let a = session.query(NodeId(0), NodeId(80)).unwrap();
+    let a = session
+        .query_batch(&[(NodeId(0), NodeId(80))])
+        .unwrap()
+        .remove(0);
     assert_eq!(a.distance.to_bits(), want.to_bits());
     std::fs::remove_dir_all(&dir).ok();
 }
